@@ -21,5 +21,8 @@ val words_of_len : int -> int
 (** 32-bit words touched by programmed I/O to copy [len] bytes. *)
 
 val checksum : bytes -> int
-(** The modeled AAL5 trailer CRC over a frame payload: any single
-    corrupted byte changes it. Free in simulated time. *)
+(** The modeled AAL5 trailer CRC over a frame payload: a word-wise
+    multiplicative digest, one 63-bit multiply per 32-bit word. Any
+    change confined to a single 32-bit word of the payload (so any
+    single corrupted byte or flipped bit) changes it. Free in simulated
+    time. *)

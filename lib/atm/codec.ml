@@ -2,9 +2,34 @@
 
    All multi-byte integers are little-endian.  Readers raise [Truncated]
    rather than returning garbage when a payload is shorter than its
-   header claims. *)
+   header claims.
+
+   Bulk data moves as views: a writer copies a view's bytes into its
+   buffer once, and a reader hands out views into the payload it reads
+   instead of copying.  A writer sized exactly (the [capacity] of its
+   final length) hands its buffer over from [contents] without a copy. *)
 
 exception Truncated
+
+type view = { base : bytes; pos : int; len : int }
+
+let view ?(pos = 0) ?len base =
+  let len = match len with Some len -> len | None -> Bytes.length base - pos in
+  if pos < 0 || len < 0 || pos + len > Bytes.length base then
+    invalid_arg "Codec.view";
+  { base; pos; len }
+
+let view_to_bytes v = Bytes.sub v.base v.pos v.len
+
+let view_equal a b =
+  a.len = b.len
+  &&
+  let rec same i =
+    i >= a.len
+    || Bytes.unsafe_get a.base (a.pos + i) = Bytes.unsafe_get b.base (b.pos + i)
+       && same (i + 1)
+  in
+  same 0
 
 type writer = { mutable buf : bytes; mutable pos : int }
 
@@ -53,6 +78,18 @@ let put_bytes w b =
   Bytes.blit b 0 w.buf w.pos (Bytes.length b);
   w.pos <- w.pos + Bytes.length b
 
+let put_view w v =
+  ensure w v.len;
+  Bytes.blit v.base v.pos w.buf w.pos v.len;
+  w.pos <- w.pos + v.len
+
+let reserve w n =
+  if n < 0 then invalid_arg "Codec.reserve";
+  ensure w n;
+  let pos = w.pos in
+  w.pos <- w.pos + n;
+  pos
+
 let put_string w s =
   let n = String.length s in
   if n > 0xFFFF then invalid_arg "Codec.put_string: too long";
@@ -68,7 +105,10 @@ let put_padding w n =
 
 let length w = w.pos
 
-let contents w = Bytes.sub w.buf 0 w.pos
+(* A full buffer is handed over as is: any later non-empty put must grow
+   (and so reallocate) it first, so the caller's bytes never change. *)
+let contents w =
+  if w.pos = Bytes.length w.buf then w.buf else Bytes.sub w.buf 0 w.pos
 
 type reader = { data : bytes; mutable rpos : int }
 
@@ -115,6 +155,13 @@ let get_bytes r n =
   r.rpos <- r.rpos + n;
   b
 
+let get_view r n =
+  if n < 0 then invalid_arg "Codec.get_view";
+  need r n;
+  let v = { base = r.data; pos = r.rpos; len = n } in
+  r.rpos <- r.rpos + n;
+  v
+
 let get_string r =
   let n = get_u16 r in
   need r n;
@@ -128,5 +175,6 @@ let skip r n =
   r.rpos <- r.rpos + n
 
 let rest r = get_bytes r (remaining r)
+let rest_view r = get_view r (remaining r)
 
 let position r = r.rpos

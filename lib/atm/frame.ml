@@ -7,11 +7,17 @@
    with the frame but contributes nothing to [length], so attaching a
    tracer cannot perturb wire timing.
 
-   [checksum] models the AAL5 trailer CRC: computed over the payload
-   when the frame is formatted for transmission and carried unchanged.
-   A fault plane that corrupts the payload in flight leaves the stored
-   checksum stale, so the receiving NIC detects the damage and drops the
-   frame as a receive error instead of delivering bad data. *)
+   [checksum] models the AAL5 trailer CRC ({!Aal.checksum}, a word-wise
+   digest that changes whenever any single 32-bit word of the payload
+   changes): computed over the payload when the frame is formatted for
+   transmission and carried unchanged.  A fault plane that corrupts the
+   payload in flight leaves the stored checksum stale, so the receiving
+   NIC detects the damage and drops the frame as a receive error instead
+   of delivering bad data.
+
+   The payload is immutable once the frame is made: receivers read it
+   through views (see [Codec.view]) rather than copying it, and damage
+   in flight goes through {!corrupted}, which copies. *)
 
 type t = {
   src : Addr.t;

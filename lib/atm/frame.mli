@@ -4,7 +4,9 @@ type t
 
 val make : ?ctx:Obs.Ctx.t -> src:Addr.t -> dst:Addr.t -> bytes -> t
 (** [ctx] is a trace context riding in a reserved header field — carried
-    with the frame, excluded from {!length} (and hence wire timing). *)
+    with the frame, excluded from {!length} (and hence wire timing).
+    The frame takes ownership of the payload: nobody may mutate it
+    afterwards, because receivers decode views into it. *)
 
 val src : t -> Addr.t
 val dst : t -> Addr.t
@@ -15,7 +17,9 @@ val length : t -> int
 
 val intact : t -> bool
 (** Does the payload still match the AAL checksum computed at {!make}?
-    False only for frames damaged in flight by the fault plane. *)
+    False only for frames damaged in flight by the fault plane: the
+    checksum catches every change confined to one 32-bit word, so every
+    single-byte or single-bit corruption. *)
 
 val corrupted : byte:int -> t -> t
 (** A copy of the frame with the payload byte at [byte mod length]

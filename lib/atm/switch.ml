@@ -21,6 +21,9 @@ type t = {
   routes : (int, Link.t) Hashtbl.t;
   (* outgoing inter-switch trunks, in creation order (kept reversed) *)
   mutable trunks : Link.t list;
+  mutable outputs : Link.t array;
+  (* every link this switch drives, host downlinks and trunks alike: what
+     [queue_depth] sums without walking the tables *)
   mutable frames_switched : int;
   mutable drops : int;
 }
@@ -34,11 +37,13 @@ let create ?(name = "switch") engine config =
     uplinks = Hashtbl.create 8;
     routes = Hashtbl.create 8;
     trunks = [];
+    outputs = [||];
     frames_switched = 0;
     drops = 0;
   }
 
 let name t = t.name
+let add_output t link = t.outputs <- Array.append t.outputs [| link |]
 
 let attach_port t nic =
   let addr = Nic.addr nic in
@@ -48,7 +53,8 @@ let attach_port t nic =
       t.engine t.config
       ~deliver:(fun frame -> Nic.deliver nic frame)
   in
-  Hashtbl.replace t.downlinks (Addr.to_int addr) down
+  Hashtbl.replace t.downlinks (Addr.to_int addr) down;
+  add_output t down
 
 let forward t frame =
   let dst = Addr.to_int (Frame.dst frame) in
@@ -64,7 +70,7 @@ let forward t frame =
       let now = Sim.Engine.now t.engine in
       Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now
         ~finish:(Sim.Time.add now t.config.Config.switch_latency);
-      Sim.Engine.schedule ~after:t.config.Config.switch_latency t.engine
+      Sim.Engine.schedule_after t.engine t.config.Config.switch_latency
         (fun () -> Link.send link frame)
 
 let uplink_for t nic_addr =
@@ -85,6 +91,7 @@ let trunk_to t peer =
       ~deliver:(fun frame -> forward peer frame)
   in
   t.trunks <- link :: t.trunks;
+  add_output t link;
   link
 
 let add_route t ~dst link = Hashtbl.replace t.routes dst link
@@ -96,8 +103,11 @@ let drops t = t.drops
    downlinks and outgoing trunks: where output-queued contention shows
    up, and what the telemetry sampler gauges. *)
 let queue_depth t =
-  Hashtbl.fold (fun _ down acc -> acc + Link.queue_depth down) t.downlinks 0
-  + List.fold_left (fun acc trunk -> acc + Link.queue_depth trunk) 0 t.trunks
+  let depth = ref 0 in
+  for i = 0 to Array.length t.outputs - 1 do
+    depth := !depth + Link.queue_depth t.outputs.(i)
+  done;
+  !depth
 
 (* Fabric edges in deterministic (port-sorted, then trunk-creation)
    order, for the fault plane: uplink i -> switch is [(Some i, None)],

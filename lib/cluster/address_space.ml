@@ -33,36 +33,40 @@ let check_range t ~addr ~len =
 let page_of t addr = addr / t.page_size
 
 let page t index =
-  match Hashtbl.find_opt t.pages index with
-  | Some bytes -> bytes
-  | None ->
+  match Hashtbl.find t.pages index with
+  | bytes -> bytes
+  | exception Not_found ->
       let bytes = Bytes.make t.page_size '\000' in
       Hashtbl.add t.pages index bytes;
       bytes
 
-let iter_range t ~addr ~len f =
-  (* Apply [f page offset_in_page offset_in_buffer span] across pages. *)
-  let rec go cursor remaining done_ =
-    if remaining > 0 then begin
-      let index = page_of t cursor in
-      let off = cursor mod t.page_size in
-      let span = Stdlib.min remaining (t.page_size - off) in
-      f (page t index) off done_ span;
-      go (cursor + span) (remaining - span) (done_ + span)
-    end
-  in
-  go addr len 0
+(* Copy [len] bytes between [buf] at [pos] and the pages from [addr] on:
+   into the pages when [store], out of them otherwise. *)
+let transfer t ~addr ~len buf ~pos ~store =
+  check_range t ~addr ~len;
+  if pos < 0 || pos + len > Bytes.length buf then
+    invalid_arg
+      (if store then "Address_space.write_from" else "Address_space.read_into");
+  let cursor = ref addr and done_ = ref 0 in
+  while !done_ < len do
+    let off = !cursor mod t.page_size in
+    let span = Stdlib.min (len - !done_) (t.page_size - off) in
+    let pg = page t (page_of t !cursor) in
+    if store then Bytes.blit buf (pos + !done_) pg off span
+    else Bytes.blit pg off buf (pos + !done_) span;
+    cursor := !cursor + span;
+    done_ := !done_ + span
+  done
+
+let read_into t ~addr ~len dst ~pos = transfer t ~addr ~len dst ~pos ~store:false
 
 let read t ~addr ~len =
-  check_range t ~addr ~len;
-  let out = Bytes.create len in
-  iter_range t ~addr ~len (fun pg off pos span -> Bytes.blit pg off out pos span);
+  let out = Bytes.create (Stdlib.max 0 len) in
+  read_into t ~addr ~len out ~pos:0;
   out
 
-let write t ~addr data =
-  let len = Bytes.length data in
-  check_range t ~addr ~len;
-  iter_range t ~addr ~len (fun pg off pos span -> Bytes.blit data pos pg off span)
+let write_from t ~addr src ~pos ~len = transfer t ~addr ~len src ~pos ~store:true
+let write t ~addr data = write_from t ~addr data ~pos:0 ~len:(Bytes.length data)
 
 let read_word t ~addr =
   let b = read t ~addr ~len:4 in
@@ -103,14 +107,16 @@ let unpin t ~addr ~len =
 let is_pinned t ~addr ~len =
   check_range t ~addr ~len;
   let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
-  let rec check index =
-    if index > last then true
-    else
-      match Hashtbl.find_opt t.pin_counts index with
-      | Some n when n > 0 -> check (index + 1)
-      | _ -> false
-  in
-  check first
+  let index = ref first in
+  while
+    !index <= last
+    && match Hashtbl.find t.pin_counts !index with
+       | n -> n > 0
+       | exception Not_found -> false
+  do
+    incr index
+  done;
+  !index > last
 
 let pinned_pages t =
   Hashtbl.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0

@@ -72,8 +72,8 @@ let dispatch t frame =
   let payload = Atm.Frame.payload frame in
   if Bytes.length payload = 0 then failwith "Node.dispatch: empty frame";
   let tag = Char.code (Bytes.get payload 0) in
-  match Hashtbl.find_opt t.handlers tag with
-  | Some handler ->
+  match Hashtbl.find t.handlers tag with
+  | handler ->
       (* The frame's trace context is visible to serve-side hooks for
          exactly the synchronous prefix of the handler — the
          interrupt-level work done before any spawn or block. *)
@@ -81,7 +81,7 @@ let dispatch t frame =
       Obs.Trace.dispatch_begin ~node (Atm.Frame.ctx frame);
       handler ~src:(Atm.Frame.src frame) payload;
       Obs.Trace.dispatch_end ~node
-  | None ->
+  | exception Not_found ->
       failwith
         (Printf.sprintf "%s: no protocol handler for tag 0x%02x"
            (Atm.Addr.to_string t.addr) tag)

@@ -25,12 +25,17 @@ let keystream_byte key i =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.shift_right_logical z ((i mod 8) * 8)) land 0xFF
 
+let transform_in_place t buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Crypto.transform_in_place";
+  for i = 0 to len - 1 do
+    Bytes.set_uint8 buf (pos + i)
+      (Bytes.get_uint8 buf (pos + i) lxor keystream_byte t.key i)
+  done
+
 let transform t data =
   let out = Bytes.copy data in
-  for i = 0 to Bytes.length data - 1 do
-    Bytes.set out i
-      (Char.chr (Char.code (Bytes.get data i) lxor keystream_byte t.key i))
-  done;
+  transform_in_place t out ~pos:0 ~len:(Bytes.length out);
   out
 
 let cost t ~bytes =

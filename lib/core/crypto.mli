@@ -11,6 +11,11 @@ val transform : t -> bytes -> bytes
 (** Encrypt/decrypt (involution). Two endpoints agree iff their keys
     match; a receiver without the right key sees ciphertext. *)
 
+val transform_in_place : t -> bytes -> pos:int -> len:int -> unit
+(** {!transform} of [len] bytes at [pos], overwriting them; the key
+    stream starts at [pos], so the result equals transforming a copy of
+    the range. *)
+
 val cost : t -> bytes:int -> Sim.Time.t
 (** CPU time to transform [bytes] at the configured per-word rate. *)
 

@@ -83,7 +83,7 @@ let wait t =
   end
   else
     Sim.Proc.suspend_on
-      ~resource:(Printf.sprintf "notification %S" t.name)
+      ~kind:"notification" ~resource:t.name
       (fun resume -> Queue.push resume t.waiters)
 
 let try_read t =

@@ -110,6 +110,7 @@ type t = {
      layer can treat a pipelined window of issues as one logical attempt *)
   mutable next_batch : int;
   mutable fault_registry : Obs.Registry.t option;
+  mutable malformed : int; (* received frames [Wire.decode] rejected *)
 }
 
 (* The analysis layer's hook: one match on a [None] field when disabled,
@@ -200,12 +201,18 @@ let attach node =
       batch = None;
       next_batch = 1;
       fault_registry = None;
+      malformed = 0;
     }
   in
   List.iter
     (fun tag ->
       Cluster.Node.set_handler node ~tag (fun ~src payload ->
-          !handle_message t ~src (Wire.decode payload)))
+          match Wire.decode payload with
+          | Ok message -> !handle_message t ~src message
+          | Error _ ->
+              (* A frame that passed the AAL check yet does not parse
+                 (a buggy or hostile peer): count it and drop it. *)
+              t.malformed <- t.malformed + 1))
     Wire.tags;
   t
 
@@ -214,6 +221,7 @@ let completion_fd t = t.completion_fd
 let ops t = t.ops
 let data_bytes t = t.data_bytes
 let errors t = t.errors
+let malformed t = t.malformed
 
 (* Instantaneous state for the telemetry sampler. *)
 let inflight t = Hashtbl.length t.pending
@@ -254,22 +262,35 @@ let with_batch t ~batch f =
 
 let set_crypto t crypto = t.crypto <- crypto
 
-(* Apply link encryption on the way out / in, charging its cost. *)
-let crypto_out t data =
-  match t.crypto with
-  | None -> data
-  | Some crypto ->
-      Cluster.Cpu.use (cpu t) ~category:t.client_category
-        (Crypto.cost crypto ~bytes:(Bytes.length data));
-      Crypto.transform crypto data
+(* Link encryption on the data path.  Outgoing data is enciphered in
+   place in the frame as it is built ([crypto_transform], handed to
+   [Wire.encode]); incoming data on its way into memory ([deposit]).
+   [crypto_charge] charges the cipher's CPU cost separately, at the
+   point of the operation where the cipher runs. *)
+let crypto_transform crypto = Option.map Crypto.transform_in_place crypto
 
-let crypto_in t ~category data =
-  match t.crypto with
-  | None -> data
+let crypto_charge t crypto ~category len =
+  match crypto with
+  | None -> ()
   | Some crypto ->
-      Cluster.Cpu.use (cpu t) ~category
-        (Crypto.cost crypto ~bytes:(Bytes.length data));
-      Crypto.transform crypto data
+      Cluster.Cpu.use (cpu t) ~category (Crypto.cost crypto ~bytes:len)
+
+(* Land received data at [addr]: straight from the frame view, or, when
+   decryption or the swab bit must rewrite it (the frame itself is never
+   modified), through one deposit buffer the transforms work in place
+   on. *)
+let deposit crypto ~swab (data : Atm.Codec.view) space ~addr =
+  match (crypto, swab) with
+  | None, false ->
+      Cluster.Address_space.write_from space ~addr data.base ~pos:data.pos
+        ~len:data.len
+  | _ ->
+      let buf = Atm.Codec.view_to_bytes data in
+      Option.iter
+        (fun crypto -> Crypto.transform_in_place crypto buf ~pos:0 ~len:data.len)
+        crypto;
+      if swab then Wire.swap_words_in_place buf ~pos:0 ~len:data.len;
+      Cluster.Address_space.write space ~addr buf
 
 (* ------------------------------------------------------------------ *)
 (* Segment export / revoke / import.                                   *)
@@ -405,28 +426,34 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
   let dst = Descriptor.remote desc in
   let seg = Descriptor.segment_id desc in
   let gen = Descriptor.generation desc in
-  let send_chunk ~off ~notify chunk =
+  (* Each chunk is copied from [data] straight into its frame (and
+     enciphered there) before the NIC charge: the snapshot instant of
+     the caller's bytes is the start of the chunk. *)
+  let send_chunk ~off ~notify ~pos ~len =
+    let crypto = t.crypto in
+    let frame =
+      Wire.encode
+        ?transform:(crypto_transform crypto)
+        (Wire.Write
+           { seg; gen; off; notify; swab; data = { base = data; pos; len } })
+    in
     Obs.Trace.phase fl "nic";
-    Cluster.Cpu.use (cpu t) ~category:t.client_category
-      (tx_data_cost c (Bytes.length chunk));
-    let chunk = crypto_out t chunk in
+    Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost c len);
+    crypto_charge t crypto ~category:t.client_category len;
     Obs.Trace.phase_end fl;
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.wire_ctx fl)
-      t.node ~dst
-      (Wire.encode (Wire.Write { seg; gen; off; notify; swab; data = chunk }))
+    Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst frame
   in
   if count = 0 then
     (* A zero-length write still sends its header cell — useful as a
        doorbell when combined with the notify bit. *)
-    send_chunk ~off ~notify Bytes.empty
+    send_chunk ~off ~notify ~pos:0 ~len:0
   else begin
     let rec send pos =
       if pos < count then begin
         let chunk_len = Stdlib.min burst (count - pos) in
         let last = pos + chunk_len >= count in
-        send_chunk ~off:(off + pos) ~notify:(notify && last)
-          (Bytes.sub data pos chunk_len);
+        send_chunk ~off:(off + pos) ~notify:(notify && last) ~pos
+          ~len:chunk_len;
         send (pos + chunk_len)
       end
     in
@@ -448,13 +475,13 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
       (fun (off, data) ->
         if Bytes.length data = 0 then
           invalid_arg "Remote_memory.write_burst: empty extent";
-        { Wire.off; data })
+        { Wire.off; data = Atm.Codec.view data })
       extents
   in
   List.iter
     (fun it ->
       check_local t desc Rights.Write_op ~off:it.Wire.off
-        ~count:(Bytes.length it.Wire.data))
+        ~count:it.Wire.data.len)
     items;
   let total = Wire.burst_payload_bytes items in
   let first_off = (List.hd items).Wire.off in
@@ -480,18 +507,22 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
   Obs.Trace.phase_end fl;
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int total);
-  let items =
-    List.map (fun it -> { it with Wire.data = crypto_out t it.Wire.data }) items
-  in
+  let crypto = t.crypto in
+  List.iter
+    (fun it -> crypto_charge t crypto ~category:t.client_category it.Wire.data.len)
+    items;
   Obs.Trace.phase fl "nic";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (tx_burst_cost c (Wire.burst_frame_bytes items));
   Obs.Trace.phase_end fl;
+  (* The extents are copied into the frame (and enciphered there) once
+     every charge is paid, so they are read after the NIC charge. *)
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node
     ~dst:(Descriptor.remote desc)
     (Wire.encode
+       ?transform:(crypto_transform crypto)
        (Wire.Write_burst
           {
             seg = Descriptor.segment_id desc;
@@ -911,9 +942,9 @@ let record_error t status =
   Metrics.Account.add t.errors ~category:(Status.to_string status) 1.
 
 let validate_segment t ~src ~seg ~gen ~off ~count op =
-  match Hashtbl.find_opt t.exported seg with
-  | None -> Error Status.Bad_segment
-  | Some segment ->
+  match Hashtbl.find t.exported seg with
+  | exception Not_found -> Error Status.Bad_segment
+  | segment ->
       if Segment.is_revoked segment then Error Status.Bad_segment
       else if not (Generation.equal gen (Segment.generation segment)) then
         Error Status.Stale_generation
@@ -929,67 +960,72 @@ let validate_segment t ~src ~seg ~gen ~off ~count op =
       then Error Status.Unpinned
       else Ok segment
 
+(* A write this node cannot apply is data silently lost unless the
+   issuer hears about it: report the drop with a negative ack (the
+   success path stays unacknowledged, as in the paper). *)
+let drop_write t ~src ~sv (w : Wire.write_req) status =
+  let c = costs t in
+  let count = w.data.len in
+  record_error t status;
+  emit t
+    (Serve_rejected
+       {
+         op = Rights.Write_op;
+         src;
+         seg = w.seg;
+         gen = w.gen;
+         off = w.off;
+         count;
+         status;
+       });
+  Obs.Trace.serve_arg sv "status" (Status.to_string status);
+  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
+  Cluster.Node.transmit
+    ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
+    t.node ~dst:src
+    (Wire.encode
+       (Wire.Write_nack
+          { status; seg = w.seg; gen = w.gen; off = w.off; count }));
+  Obs.Trace.serve_end sv
+
 let handle_write t ~src (w : Wire.write_req) =
   let c = costs t in
-  let count = Bytes.length w.data in
+  let count = w.data.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
        c.Cluster.Costs.vm_deliver);
-  (* A write this node cannot apply is data silently lost unless the
-     issuer hears about it: report the drop with a negative ack (the
-     success path stays unacknowledged, as in the paper). *)
-  let drop status =
-    record_error t status;
-    emit t
-      (Serve_rejected
-         {
-           op = Rights.Write_op;
-           src;
-           seg = w.seg;
-           gen = w.gen;
-           off = w.off;
-           count;
-           status;
-         });
-    Obs.Trace.serve_arg sv "status" (Status.to_string status);
-    Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
-      t.node ~dst:src
-      (Wire.encode
-         (Wire.Write_nack
-            { status; seg = w.seg; gen = w.gen; off = w.off; count }));
-    Obs.Trace.serve_end sv
-  in
   match
     validate_segment t ~src ~seg:w.seg ~gen:w.gen ~off:w.off ~count
       Rights.Write_op
   with
-  | Error status -> drop status
+  | Error status -> drop_write t ~src ~sv w status
   | Ok segment ->
-      if Segment.write_inhibited segment then drop Status.Write_inhibited
+      if Segment.write_inhibited segment then
+        drop_write t ~src ~sv w Status.Write_inhibited
       else begin
-        let data = crypto_in t ~category:t.rx_request_category w.data in
-        let data = if w.swab then Wire.swap_words data else data in
-        Cluster.Address_space.write (Segment.space segment)
-          ~addr:(Segment.base segment + w.off)
-          data;
+        let crypto = t.crypto in
+        crypto_charge t crypto ~category:t.rx_request_category count;
+        deposit crypto ~swab:w.swab w.data (Segment.space segment)
+          ~addr:(Segment.base segment + w.off);
         Metrics.Account.add t.data_bytes ~category:"write served"
           (float_of_int count);
         let notified = Segment.should_notify segment ~requested:w.notify in
-        emit t
-          (Served
-             {
-               op = Rights.Write_op;
-               src;
-               segment;
-               off = w.off;
-               count;
-               notified;
-               cas_success = None;
-             });
+        (* Guarded: this runs once per received chunk, and an unwatched
+           event should not even be built. *)
+        if Option.is_some t.monitor then
+          emit t
+            (Served
+               {
+                 op = Rights.Write_op;
+                 src;
+                 segment;
+                 off = w.off;
+                 count;
+                 notified;
+                 cas_success = None;
+               });
         (match t.delivery_probe with
         | Some probe -> probe Notification.Write_arrived ~count
         | None -> ());
@@ -1039,7 +1075,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
   let rec validate = function
     | [] -> Ok ()
     | it :: rest -> (
-        let count = Bytes.length it.Wire.data in
+        let count = it.Wire.data.len in
         match
           validate_segment t ~src ~seg:b.seg ~gen:b.gen ~off:it.Wire.off ~count
             Rights.Write_op
@@ -1057,24 +1093,19 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
       | Error (status, off, count) -> drop status ~off ~count
       | Ok () ->
           let segment = Hashtbl.find t.exported b.seg in
-          let extents =
-            List.map
-              (fun it ->
-                let data =
-                  crypto_in t ~category:t.rx_request_category it.Wire.data
-                in
-                let data = if b.swab then Wire.swap_words data else data in
-                (it.Wire.off, data))
-              b.items
-          in
-          let n = List.length extents in
+          let crypto = t.crypto in
+          List.iter
+            (fun it ->
+              crypto_charge t crypto ~category:t.rx_request_category
+                it.Wire.data.len)
+            b.items;
+          let n = List.length b.items in
           let notified = Segment.should_notify segment ~requested:b.notify in
           List.iteri
-            (fun i (off, data) ->
-              Cluster.Address_space.write (Segment.space segment)
-                ~addr:(Segment.base segment + off)
-                data;
-              let count = Bytes.length data in
+            (fun i { Wire.off; data } ->
+              deposit crypto ~swab:b.swab data (Segment.space segment)
+                ~addr:(Segment.base segment + off);
+              let count = data.len in
               Metrics.Account.add t.data_bytes ~category:"write served"
                 (float_of_int count);
               emit t
@@ -1091,7 +1122,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
               match t.delivery_probe with
               | Some probe -> probe Notification.Write_arrived ~count
               | None -> ())
-            extents;
+            b.items;
           (if notified then
              Notification.post
                ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1111,10 +1142,10 @@ let handle_read t ~src (r : Wire.read_req) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 14))
        c.Cluster.Costs.descriptor_check);
-  let reply message =
+  let reply frame =
     Cluster.Node.transmit
       ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-      t.node ~dst:src (Wire.encode message)
+      t.node ~dst:src frame
   in
   match
     validate_segment t ~src ~seg:r.seg ~gen:r.gen ~off:r.soff ~count:r.count
@@ -1136,14 +1167,8 @@ let handle_read t ~src (r : Wire.read_req) =
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
       Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
       reply
-        (Wire.Read_reply
-           {
-             status;
-             reqid = r.reqid;
-             chunk_off = 0;
-             swab = r.swab;
-             data = Bytes.empty;
-           });
+        (Wire.read_reply_frame ~status ~reqid:r.reqid ~chunk_off:0 ~swab:r.swab
+           ~len:0);
       Obs.Trace.serve_end sv
   | Ok segment ->
       Metrics.Account.add t.data_bytes ~category:"read served"
@@ -1171,31 +1196,27 @@ let handle_read t ~src (r : Wire.read_req) =
              count = r.count;
            });
       let burst = burst_data_bytes c in
+      (* The segment is read straight into the reply frame (and
+         enciphered there) before the charges: the snapshot instant of
+         the segment's bytes is the start of the chunk. *)
       let send_chunk ~pos ~chunk_len =
-        let data =
-          Cluster.Address_space.read (Segment.space segment)
-            ~addr:(Segment.base segment + r.soff + pos)
-            ~len:chunk_len
+        let crypto = t.crypto in
+        let frame =
+          Wire.read_reply_frame ~status:Status.Ok ~reqid:r.reqid
+            ~chunk_off:pos ~swab:r.swab ~len:chunk_len
         in
+        let at = Wire.header_bytes in
+        Cluster.Address_space.read_into (Segment.space segment)
+          ~addr:(Segment.base segment + r.soff + pos)
+          ~len:chunk_len frame ~pos:at;
+        (match crypto with
+        | None -> ()
+        | Some crypto ->
+            Crypto.transform_in_place crypto frame ~pos:at ~len:chunk_len);
         Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
           (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c chunk_len));
-        let data =
-          match t.crypto with
-          | None -> data
-          | Some crypto ->
-              Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-                (Crypto.cost crypto ~bytes:chunk_len);
-              Crypto.transform crypto data
-        in
-        reply
-          (Wire.Read_reply
-             {
-               status = Status.Ok;
-               reqid = r.reqid;
-               chunk_off = pos;
-               swab = r.swab;
-               data;
-             })
+        crypto_charge t crypto ~category:t.tx_reply_category chunk_len;
+        reply frame
       in
       (if r.count = 0 then send_chunk ~pos:0 ~chunk_len:0
        else begin
@@ -1281,49 +1302,41 @@ let handle_cas t ~src (r : Wire.cas_req) =
 (* ------------------------------------------------------------------ *)
 (* Reply handling at the requester.                                    *)
 
+let read_completed t ~desc ~off ~count status =
+  emit t
+    (Completed
+       { op = Rights.Read_op; desc; off; count; status; cas_success = None })
+
 let handle_read_reply t ~src (r : Wire.read_reply) =
   let c = costs t in
-  let count = Bytes.length r.data in
+  let count = r.data.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Hashtbl.find_opt t.pending r.reqid with
-  | None -> () (* late reply after a timeout: dropped *)
-  | Some (Pending_cas p) ->
+  (match Hashtbl.find t.pending r.reqid with
+  | exception Not_found -> () (* late reply after a timeout: dropped *)
+  | Pending_cas p ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
       Hashtbl.remove t.pending r.reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
-  | Some (Pending_read p) ->
-      let completed status =
-        emit t
-          (Completed
-             {
-               op = Rights.Read_op;
-               desc = p.desc;
-               off = p.soff;
-               count = p.count;
-               status;
-               cas_success = None;
-             })
-      in
+  | Pending_read p ->
       if r.status <> Status.Ok then begin
         Hashtbl.remove t.pending r.reqid;
         record_error t r.status;
-        completed r.status;
+        read_completed t ~desc:p.desc ~off:p.soff ~count:p.count r.status;
         Obs.Trace.root_close sv ~status:(Status.to_string r.status);
         Sim.Ivar.fill p.completion r.status
       end
       else begin
-        let data = crypto_in t ~category:t.client_category r.data in
-        let data = if r.swab then Wire.swap_words data else data in
-        Cluster.Address_space.write p.buf.space
-          ~addr:(p.buf.base + p.doff + r.chunk_off)
-          data;
+        let crypto = t.crypto in
+        crypto_charge t crypto ~category:t.client_category count;
+        deposit crypto ~swab:r.swab r.data p.buf.space
+          ~addr:(p.buf.base + p.doff + r.chunk_off);
         p.received <- p.received + count;
         if p.received >= p.count then begin
           Hashtbl.remove t.pending r.reqid;
@@ -1337,7 +1350,7 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
                 off = p.doff;
                 count = p.count;
               };
-          completed Status.Ok;
+          read_completed t ~desc:p.desc ~off:p.soff ~count:p.count Status.Ok;
           Obs.Trace.root_close sv ~status:"ok";
           Sim.Ivar.fill p.completion Status.Ok
         end

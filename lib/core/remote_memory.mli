@@ -403,6 +403,11 @@ val ops : t -> Metrics.Account.t
 val data_bytes : t -> Metrics.Account.t
 val errors : t -> Metrics.Account.t
 
+val malformed : t -> int
+(** Frames carrying a remote-memory tag that arrived intact (they passed
+    the AAL check) but did not decode; each is counted and dropped
+    instead of aborting the run. *)
+
 val inflight : t -> int
 (** READ/CAS requests this node has issued whose replies have not yet
     arrived (or timed out) — an instantaneous gauge for the telemetry

@@ -23,16 +23,21 @@ let to_code = function
   | Unpinned -> 6
   | Timed_out -> 7
 
-let of_code = function
-  | 0 -> Ok
-  | 1 -> Bad_segment
-  | 2 -> Protection
-  | 3 -> Bounds
-  | 4 -> Stale_generation
-  | 5 -> Write_inhibited
-  | 6 -> Unpinned
-  | 7 -> Timed_out
-  | c -> invalid_arg (Printf.sprintf "Status.of_code: %d" c)
+let of_code_opt = function
+  | 0 -> Some Ok
+  | 1 -> Some Bad_segment
+  | 2 -> Some Protection
+  | 3 -> Some Bounds
+  | 4 -> Some Stale_generation
+  | 5 -> Some Write_inhibited
+  | 6 -> Some Unpinned
+  | 7 -> Some Timed_out
+  | _ -> None
+
+let of_code c =
+  match of_code_opt c with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Status.of_code: %d" c)
 
 let to_string = function
   | Ok -> "ok"

@@ -21,6 +21,9 @@ val to_code : t -> int
 val of_code : int -> t
 (** Raises [Invalid_argument] on unknown codes. *)
 
+val of_code_opt : int -> t option
+(** [None] on unknown codes. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

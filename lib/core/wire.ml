@@ -17,7 +17,7 @@ type write_req = {
   off : int;
   notify : bool;
   swab : bool;
-  data : bytes;
+  data : Atm.Codec.view;
 }
 
 type read_req = {
@@ -35,7 +35,7 @@ type read_reply = {
   reqid : int;
   chunk_off : int;
   swab : bool;
-  data : bytes;
+  data : Atm.Codec.view;
 }
 
 type cas_req = {
@@ -58,7 +58,7 @@ type write_nack = {
   count : int;
 }
 
-type burst_item = { off : int; data : bytes }
+type burst_item = { off : int; data : Atm.Codec.view }
 
 type write_burst = {
   seg : int;
@@ -103,15 +103,17 @@ let tags =
 
 (* Swap the byte order of each aligned 32-bit word; a trailing partial
    word is left alone (word-structured data is the point of the bit). *)
+let swap_words_in_place buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Wire.swap_words_in_place";
+  for w = 0 to (len / 4) - 1 do
+    let at = pos + (4 * w) in
+    Bytes.set_int32_le buf at (Bytes.get_int32_be buf at)
+  done
+
 let swap_words data =
   let out = Bytes.copy data in
-  let words = Bytes.length data / 4 in
-  for w = 0 to words - 1 do
-    let base = w * 4 in
-    for b = 0 to 3 do
-      Bytes.set out (base + b) (Bytes.get data (base + 3 - b))
-    done
-  done;
+  swap_words_in_place out ~pos:0 ~len:(Bytes.length out);
   out
 
 let header_bytes = 8
@@ -130,22 +132,56 @@ let burst_header_bytes = 6
 let burst_item_header_bytes = 8
 
 let burst_payload_bytes items =
-  List.fold_left (fun acc item -> acc + Bytes.length item.data) 0 items
+  List.fold_left (fun acc item -> acc + item.data.Atm.Codec.len) 0 items
 
 let burst_frame_bytes items =
   List.fold_left
-    (fun acc item -> acc + burst_item_header_bytes + Bytes.length item.data)
+    (fun acc item -> acc + burst_item_header_bytes + item.data.Atm.Codec.len)
     burst_header_bytes items
 
-let encode message =
-  let w = Atm.Codec.writer ~capacity:64 () in
+(* Exact frame sizes, so every frame is built in one exactly-sized
+   buffer and [Codec.contents] hands it over without a copy. *)
+let encoded_bytes = function
+  | Write { data; _ } -> header_bytes + data.Atm.Codec.len
+  | Read _ -> 14
+  | Read_reply { data; _ } -> header_bytes + data.Atm.Codec.len
+  | Cas _ -> 18
+  | Cas_reply _ -> 8
+  | Write_nack _ -> 13
+  | Write_burst { items; _ } -> burst_frame_bytes items
+
+let put_read_reply_header w ~status ~reqid ~chunk_off ~swab =
+  Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
+  Atm.Codec.put_u8 w (Status.to_code status);
+  Atm.Codec.put_u16 w reqid;
+  Atm.Codec.put_u32 w chunk_off
+
+(* The data regions of an encoded frame, in frame order, as
+   [f ~pos ~len] over offsets into the frame. *)
+let iter_data_regions message f =
+  match message with
+  | Write { data; _ } | Read_reply { data; _ } ->
+      f ~pos:header_bytes ~len:data.Atm.Codec.len
+  | Write_burst { items; _ } ->
+      ignore
+        (List.fold_left
+           (fun pos { data; _ } ->
+             let pos = pos + burst_item_header_bytes in
+             f ~pos ~len:data.Atm.Codec.len;
+             pos + data.Atm.Codec.len)
+           burst_header_bytes items
+          : int)
+  | Read _ | Cas _ | Cas_reply _ | Write_nack _ -> ()
+
+let encode ?transform message =
+  let w = Atm.Codec.writer ~capacity:(encoded_bytes message) () in
   (match message with
   | Write { seg; gen; off; notify; swab; data } ->
       Atm.Codec.put_u8 w (tag ~op:op_write ~notify ~swab);
       Atm.Codec.put_u8 w seg;
       Atm.Codec.put_u16 w (Generation.to_int gen);
       Atm.Codec.put_u32 w off;
-      Atm.Codec.put_bytes w data
+      Atm.Codec.put_view w data
   | Read { seg; gen; soff; count; reqid; notify; swab } ->
       Atm.Codec.put_u8 w (tag ~op:op_read ~notify ~swab);
       Atm.Codec.put_u8 w seg;
@@ -154,11 +190,8 @@ let encode message =
       Atm.Codec.put_u32 w count;
       Atm.Codec.put_u16 w reqid
   | Read_reply { status; reqid; chunk_off; swab; data } ->
-      Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
-      Atm.Codec.put_u8 w (Status.to_code status);
-      Atm.Codec.put_u16 w reqid;
-      Atm.Codec.put_u32 w chunk_off;
-      Atm.Codec.put_bytes w data
+      put_read_reply_header w ~status ~reqid ~chunk_off ~swab;
+      Atm.Codec.put_view w data
   | Cas { seg; gen; doff; old_value; new_value; reqid; notify } ->
       Atm.Codec.put_u8 w (tag ~op:op_cas ~notify ~swab:false);
       Atm.Codec.put_u8 w seg;
@@ -187,61 +220,92 @@ let encode message =
       List.iter
         (fun { off; data } ->
           Atm.Codec.put_u32 w off;
-          Atm.Codec.put_u32 w (Bytes.length data);
-          Atm.Codec.put_bytes w data)
+          Atm.Codec.put_u32 w data.Atm.Codec.len;
+          Atm.Codec.put_view w data)
         items);
+  let frame = Atm.Codec.contents w in
+  (match transform with
+  | None -> ()
+  | Some transform -> iter_data_regions message (transform frame));
+  frame
+
+let read_reply_frame ~status ~reqid ~chunk_off ~swab ~len =
+  let w = Atm.Codec.writer ~capacity:(header_bytes + len) () in
+  put_read_reply_header w ~status ~reqid ~chunk_off ~swab;
+  ignore (Atm.Codec.reserve w len : int);
   Atm.Codec.contents w
 
-exception Bad_message of string
+(* Decoding is total: every way a payload can be malformed (short, an
+   unknown tag or status, trailing bytes after a fixed-size message) is
+   an [Error], never an exception. *)
+exception Malformed of string
 
-let decode payload =
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+let get_status r =
+  let code = Atm.Codec.get_u8 r in
+  match Status.of_code_opt code with
+  | Some status -> status
+  | None -> malformed "status %d" code
+
+let get_gen r = Generation.of_int (Atm.Codec.get_u16 r)
+
+let finished r =
+  let extra = Atm.Codec.remaining r in
+  if extra <> 0 then malformed "%d trailing bytes" extra
+
+let decode_exn payload =
   let r = Atm.Codec.reader payload in
   let tag = Atm.Codec.get_u8 r in
   if tag land 0xF0 <> tag_base && tag land 0xF0 <> tag_base_swab then
-    raise (Bad_message (Printf.sprintf "tag 0x%02x" tag));
+    malformed "tag 0x%02x" tag;
   let swab = tag land 0xF0 = tag_base_swab in
   let op = (tag lsr 1) land 0x7 in
   let notify = tag land 1 = 1 in
+  let fixed message =
+    finished r;
+    message
+  in
   if op = op_write then
     let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
+    let gen = get_gen r in
     let off = Atm.Codec.get_u32 r in
-    Write { seg; gen; off; notify; swab; data = Atm.Codec.rest r }
+    Write { seg; gen; off; notify; swab; data = Atm.Codec.rest_view r }
   else if op = op_read then
     let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
+    let gen = get_gen r in
     let soff = Atm.Codec.get_u32 r in
     let count = Atm.Codec.get_u32 r in
     let reqid = Atm.Codec.get_u16 r in
-    Read { seg; gen; soff; count; reqid; notify; swab }
+    fixed (Read { seg; gen; soff; count; reqid; notify; swab })
   else if op = op_read_reply then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
+    let status = get_status r in
     let reqid = Atm.Codec.get_u16 r in
     let chunk_off = Atm.Codec.get_u32 r in
-    Read_reply { status; reqid; chunk_off; swab; data = Atm.Codec.rest r }
+    Read_reply { status; reqid; chunk_off; swab; data = Atm.Codec.rest_view r }
   else if op = op_cas then
     let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
+    let gen = get_gen r in
     let doff = Atm.Codec.get_u32 r in
     let old_value = Atm.Codec.get_i32 r in
     let new_value = Atm.Codec.get_i32 r in
     let reqid = Atm.Codec.get_u16 r in
-    Cas { seg; gen; doff; old_value; new_value; reqid; notify }
+    fixed (Cas { seg; gen; doff; old_value; new_value; reqid; notify })
   else if op = op_cas_reply then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
+    let status = get_status r in
     let reqid = Atm.Codec.get_u16 r in
     let witness = Atm.Codec.get_i32 r in
-    Cas_reply { status; reqid; witness }
+    fixed (Cas_reply { status; reqid; witness })
   else if op = op_write_nack then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
+    let status = get_status r in
     let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
+    let gen = get_gen r in
     let off = Atm.Codec.get_u32 r in
     let count = Atm.Codec.get_u32 r in
-    Write_nack { status; seg; gen; off; count }
+    fixed (Write_nack { status; seg; gen; off; count })
   else if op = op_write_burst then begin
     let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
+    let gen = get_gen r in
     let n = Atm.Codec.get_u16 r in
     (* The reader is stateful: decode extents explicitly in frame order. *)
     let rec decode_items k acc =
@@ -249,9 +313,32 @@ let decode payload =
       else begin
         let off = Atm.Codec.get_u32 r in
         let len = Atm.Codec.get_u32 r in
-        decode_items (k - 1) ({ off; data = Atm.Codec.get_bytes r len } :: acc)
+        decode_items (k - 1) ({ off; data = Atm.Codec.get_view r len } :: acc)
       end
     in
-    Write_burst { seg; gen; notify; swab; items = decode_items n [] }
+    let items = decode_items n [] in
+    fixed (Write_burst { seg; gen; notify; swab; items })
   end
-  else raise (Bad_message (Printf.sprintf "op %d" op))
+  else malformed "op %d" op
+
+let decode payload =
+  match decode_exn payload with
+  | message -> Ok message
+  | exception Malformed reason -> Error reason
+  | exception Atm.Codec.Truncated -> Error "truncated"
+
+let equal a b =
+  let same_data x y = Atm.Codec.view_equal x y in
+  match (a, b) with
+  | Write x, Write y -> { x with data = y.data } = y && same_data x.data y.data
+  | Read_reply x, Read_reply y ->
+      { x with data = y.data } = y && same_data x.data y.data
+  | Write_burst x, Write_burst y ->
+      { x with items = y.items } = y
+      && List.length x.items = List.length y.items
+      && List.for_all2
+           (fun (i : burst_item) (j : burst_item) ->
+             i.off = j.off && same_data i.data j.data)
+           x.items y.items
+  | Write _, _ | Read_reply _, _ | Write_burst _, _ -> false
+  | (Read _ | Cas _ | Cas_reply _ | Write_nack _), _ -> a = b

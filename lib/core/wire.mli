@@ -2,7 +2,12 @@
 
     Every frame begins with a tag byte encoding the operation and the
     notify bit. A WRITE frame is exactly an 8-byte header followed by
-    data, so one ATM cell carries 40 data bytes — the paper's figure. *)
+    data, so one ATM cell carries 40 data bytes — the paper's figure.
+
+    Data travels as {!Atm.Codec.view}s: {!encode} copies each view into
+    the frame once, and {!decode} returns views into the frame it was
+    given, which stay valid because frame payloads are never mutated
+    after transmission. *)
 
 type write_req = {
   seg : int;
@@ -10,7 +15,7 @@ type write_req = {
   off : int;
   notify : bool;
   swab : bool;  (** byte-swap the data words at the receiver (§3.6) *)
-  data : bytes;
+  data : Atm.Codec.view;
 }
 
 type read_req = {
@@ -28,7 +33,7 @@ type read_reply = {
   reqid : int;
   chunk_off : int;
   swab : bool;
-  data : bytes;
+  data : Atm.Codec.view;
 }
 
 type cas_req = {
@@ -56,7 +61,7 @@ type write_nack = {
     inhibit — reports the drop back so the issuer can surface it instead
     of silently losing data. *)
 
-type burst_item = { off : int; data : bytes }
+type burst_item = { off : int; data : Atm.Codec.view }
 
 type write_burst = {
   seg : int;
@@ -79,8 +84,6 @@ type message =
   | Cas_reply of cas_reply
   | Write_nack of write_nack
   | Write_burst of write_burst
-
-exception Bad_message of string
 
 val tags : int list
 (** All protocol tag bytes to claim from the node demultiplexer. *)
@@ -106,11 +109,36 @@ val burst_payload_bytes : burst_item list -> int
 val burst_frame_bytes : burst_item list -> int
 (** Full frame size of a burst: header + per-extent descriptors + data. *)
 
-val encode : message -> bytes
-val decode : bytes -> message
-(** Raises {!Bad_message} or [Atm.Codec.Truncated] on malformed input. *)
+val encoded_bytes : message -> int
+(** The exact length of {!encode}'s result. *)
+
+val encode :
+  ?transform:(bytes -> pos:int -> len:int -> unit) -> message -> bytes
+(** The frame for a message, built in one buffer of exactly
+    {!encoded_bytes}. [transform] is applied in place to each data
+    region of the frame (WRITE and READ-reply data, every burst extent)
+    once it has been copied in — how link encryption rides along without
+    a second copy. *)
+
+val read_reply_frame :
+  status:Status.t -> reqid:int -> chunk_off:int -> swab:bool -> len:int ->
+  bytes
+(** A READ reply frame whose [len] data bytes, at offset {!header_bytes},
+    are left for the caller to fill before transmitting it: the serving
+    side reads the segment straight into the reply. *)
+
+val decode : bytes -> (message, string) result
+(** Total: a malformed payload (short, unknown tag or status, trailing
+    bytes after a fixed-size message or burst) is an [Error] naming the
+    fault, never an exception. Data fields are views into [payload]. *)
+
+val equal : message -> message -> bool
+(** Structural equality that compares data views by content. *)
 
 val swap_words : bytes -> bytes
 (** Byte-swap each aligned 32-bit word (a trailing partial word is left
     alone) — the §3.6 heterogeneity conversion, applied by the receiving
     side when a request's swab bit is set. *)
+
+val swap_words_in_place : bytes -> pos:int -> len:int -> unit
+(** {!swap_words} of [len] bytes at [pos], overwriting them. *)

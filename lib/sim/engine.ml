@@ -23,13 +23,23 @@ exception Deadlock of Time.t * blocked list
 type choice = { at : Time.t; enabled : int list }
 type scheduler = choice -> int
 
+(* A registered waiter keeps the pieces of its description and formats
+   it only when a report asks: blocking is frequent, reports are rare. *)
+type waiter = {
+  process : string;
+  kind : string; (* "" when [name] is already the whole description *)
+  name : string;
+  daemon : bool;
+  since : Time.t;
+}
+
 type t = {
   mutable now : Time.t;
   queue : (unit -> unit) Heap.t;
   mutable seq : int;
   mutable stopped : bool;
   mutable scheduler : scheduler option;
-  waiting : (int, blocked) Hashtbl.t;
+  waiting : (int, waiter) Hashtbl.t;
   mutable next_token : int;
   mutable detect_deadlock : bool;
   mutable spawns : int;
@@ -69,9 +79,11 @@ let schedule_at t time thunk =
     Hashtbl.replace t.parents t.seq t.firing;
   t.seq <- t.seq + 1
 
-let schedule ?(after = Time.zero) t thunk =
+let schedule_after t after thunk =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t (Time.add t.now after) thunk
+
+let schedule ?(after = Time.zero) t thunk = schedule_after t after thunk
 
 let stop t = t.stopped <- true
 
@@ -82,21 +94,31 @@ let next_spawn_id t =
 
 (* ---------------- Blocked-waiter registry ---------------- *)
 
-let register_blocked t ~process ~resource ~daemon =
+let register_blocked t ~process ?(kind = "") ~resource ~daemon () =
   let token = t.next_token in
   t.next_token <- token + 1;
-  Hashtbl.replace t.waiting token { process; resource; daemon; since = t.now };
+  Hashtbl.replace t.waiting token
+    { process; kind; name = resource; daemon; since = t.now };
   token
 
 let clear_blocked t token = Hashtbl.remove t.waiting token
 
-let blocked ?(daemons = false) t =
-  Hashtbl.fold (fun token b acc -> (token, b) :: acc) t.waiting []
-  |> List.filter (fun (_, b) -> daemons || not b.daemon)
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.map snd
+let describe_waiter (w : waiter) : blocked =
+  {
+    process = w.process;
+    resource =
+      (if w.kind = "" then w.name else Printf.sprintf "%s %S" w.kind w.name);
+    daemon = w.daemon;
+    since = w.since;
+  }
 
-let describe_blocked b =
+let blocked ?(daemons = false) t =
+  Hashtbl.fold (fun token (w : waiter) acc -> (token, w) :: acc) t.waiting []
+  |> List.filter (fun (_, (w : waiter)) -> daemons || not w.daemon)
+  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  |> List.map (fun (_, w) -> describe_waiter w)
+
+let describe_blocked (b : blocked) =
   Printf.sprintf "%s blocked on %s since %s" b.process b.resource
     (Time.to_string b.since)
 
@@ -116,7 +138,11 @@ let fire t (entry : (unit -> unit) Heap.entry) =
   t.fired <- t.fired + 1;
   let previous = t.firing in
   t.firing <- entry.Heap.seq;
-  Fun.protect ~finally:(fun () -> t.firing <- previous) entry.Heap.payload
+  match entry.Heap.payload () with
+  | () -> t.firing <- previous
+  | exception exn ->
+      t.firing <- previous;
+      raise exn
 
 let set_parent_tracking t on = t.track_parents <- on
 let parent t seq = Hashtbl.find_opt t.parents seq
@@ -144,12 +170,12 @@ let step_seq t seq =
 
 let step t =
   match t.scheduler with
-  | None -> (
-      match Heap.pop t.queue with
-      | None -> false
-      | Some entry ->
-          fire t entry;
-          true)
+  | None ->
+      if Heap.is_empty t.queue then false
+      else begin
+        fire t (Heap.take t.queue);
+        true
+      end
   | Some choose -> (
       match next_enabled t with
       | None -> false
@@ -163,17 +189,17 @@ let step t =
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
 let has_nondaemon_blocked t =
-  Hashtbl.fold (fun _ b acc -> acc || not b.daemon) t.waiting false
+  Hashtbl.fold (fun _ (w : waiter) acc -> acc || not w.daemon) t.waiting false
 
 let run ?until t =
   t.stopped <- false;
   let continue () =
     (not t.stopped)
+    && (not (Heap.is_empty t.queue))
     &&
-    match (Heap.peek t.queue, until) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some { Heap.time; _ }, Some limit -> Time.(time <= limit)
+    match until with
+    | None -> true
+    | Some limit -> Time.((Heap.top t.queue).Heap.time <= limit)
   in
   while continue () do
     ignore (step t : bool)

@@ -38,6 +38,10 @@ val schedule : ?after:Time.t -> t -> (unit -> unit) -> unit
     (default: at the current instant, after already-queued same-time
     events). Raises [Invalid_argument] on negative delays. *)
 
+val schedule_after : t -> Time.t -> (unit -> unit) -> unit
+(** [schedule ~after], with the delay passed plainly: the form hot paths
+    use, since an optional argument costs an allocation per call. *)
+
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** Schedule at an absolute instant. Raises [Invalid_argument] if the
     instant is in the past. *)
@@ -96,8 +100,12 @@ val step_seq : t -> int -> bool
     [Proc.suspend_on]) so deadlocks can be reported by name. *)
 
 val register_blocked :
-  t -> process:string -> resource:string -> daemon:bool -> int
-(** Record a blocked waiter; returns a token for {!clear_blocked}. *)
+  t -> process:string -> ?kind:string -> resource:string -> daemon:bool ->
+  unit -> int
+(** Record a blocked waiter; returns a token for {!clear_blocked}. With
+    [kind], the waiter's {!blocked} description is [kind "resource"]
+    (the name quoted as by [%S]); without, it is [resource] verbatim.
+    The description is formatted only when {!blocked} is called. *)
 
 val clear_blocked : t -> int -> unit
 

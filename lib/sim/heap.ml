@@ -61,29 +61,31 @@ let push h ~time ~seq payload =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.arr.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty";
+  h.arr.(0)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.arr.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.arr.(0) <- h.arr.(h.size);
-      sift_down h 0
-    end;
-    Some top
-  end
+let take h =
+  let top = top h in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.arr.(0) <- h.arr.(h.size);
+    sift_down h 0
+  end;
+  top
+
+let pop h = if h.size = 0 then None else Some (take h)
 
 let entries_at_min h =
-  match peek h with
-  | None -> []
-  | Some { time; _ } ->
-      let same = ref [] in
-      for i = h.size - 1 downto 0 do
-        if Time.equal h.arr.(i).time time then same := h.arr.(i) :: !same
-      done;
-      List.sort (fun a b -> Stdlib.compare a.seq b.seq) !same
+  if h.size = 0 then []
+  else begin
+    let time = (top h).time in
+    let same = ref [] in
+    for i = h.size - 1 downto 0 do
+      if Time.equal h.arr.(i).time time then same := h.arr.(i) :: !same
+    done;
+    List.sort (fun a b -> Stdlib.compare a.seq b.seq) !same
+  end
 
 let remove h ~seq =
   let found = ref None in

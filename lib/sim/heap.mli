@@ -14,11 +14,15 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
-val peek : 'a t -> 'a entry option
-(** Smallest entry without removing it. *)
-
 val pop : 'a t -> 'a entry option
 (** Remove and return the smallest entry. *)
+
+val top : 'a t -> 'a entry
+(** The smallest entry, left in place. Raises [Invalid_argument] when
+    empty. *)
+
+val take : 'a t -> 'a entry
+(** {!pop} without the option. Raises [Invalid_argument] when empty. *)
 
 val entries_at_min : 'a t -> 'a entry list
 (** Every entry sharing the smallest time, in ascending [seq] order —

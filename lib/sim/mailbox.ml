@@ -26,7 +26,7 @@ let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else
     Proc.suspend_on ~daemon:t.daemon
-      ~resource:(Printf.sprintf "mailbox %S" t.name)
+      ~kind:"mailbox" ~resource:t.name
       (fun resume -> Queue.push resume t.readers)
 
 let try_recv t =

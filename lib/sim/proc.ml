@@ -31,11 +31,13 @@ let self_name () =
   | _, name -> name
   | exception Effect.Unhandled _ -> raise Not_in_process
 
-let suspend_on ?(daemon = false) ~resource register =
+let suspend_on ?(daemon = false) ?kind ~resource register =
   match perform Info with
   | exception Effect.Unhandled _ -> suspend register
   | engine, process ->
-      let token = Engine.register_blocked engine ~process ~resource ~daemon in
+      let token =
+        Engine.register_blocked engine ~process ?kind ~resource ~daemon ()
+      in
       suspend (fun resume ->
           register (fun v ->
               Engine.clear_blocked engine token;
@@ -47,6 +49,7 @@ let spawn ?(after = Time.zero) ?name engine body =
     | Some name -> name
     | None -> Printf.sprintf "proc%d" (Engine.next_spawn_id engine)
   in
+  let info = (engine, name) in
   let run () =
     match_with body ()
       {
@@ -58,7 +61,7 @@ let spawn ?(after = Time.zero) ?name engine body =
             | Wait span ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    Engine.schedule ~after:span engine (fun () ->
+                    Engine.schedule_after engine span (fun () ->
                         continue k ()))
             | Suspend register ->
                 Some
@@ -72,8 +75,7 @@ let spawn ?(after = Time.zero) ?name engine body =
                     in
                     register resume)
             | Info ->
-                Some
-                  (fun (k : (a, unit) continuation) -> continue k (engine, name))
+                Some (fun (k : (a, unit) continuation) -> continue k info)
             | _ -> None);
       }
   in

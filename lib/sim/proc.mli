@@ -30,10 +30,13 @@ val suspend : (('a -> unit) -> unit) -> 'a
     value [v]. Double resumption raises [Invalid_argument]. *)
 
 val suspend_on :
-  ?daemon:bool -> resource:string -> (('a -> unit) -> unit) -> 'a
+  ?daemon:bool -> ?kind:string -> resource:string ->
+  (('a -> unit) -> unit) -> 'a
 (** {!suspend}, but the block is recorded in the engine's waiter
     registry under the current process's name and [resource], and
     cleared on resume — the raw material of {!Engine.Deadlock} reports.
+    With [kind] (["ivar"], ["mailbox"], ...) the waiter is described as
+    [kind "resource"], formatted only when a report asks for it.
     [daemon] marks waits that idle between requests by design (a server
     loop) and never count as deadlocked. Outside a process it degrades
     to {!suspend}. *)

@@ -28,7 +28,7 @@ let acquire t =
   else begin
     t.contended <- t.contended + 1;
     Proc.suspend_on
-      ~resource:(Printf.sprintf "resource %S" t.name)
+      ~kind:"resource" ~resource:t.name
       (fun resume -> Queue.push (fun () -> resume ()) t.waiters)
   end
 

@@ -20,6 +20,47 @@ let aal_monotone =
     (fun (len, extra) ->
       Atm.Aal.cells_of_len len <= Atm.Aal.cells_of_len (len + extra))
 
+(* Every single-bit flip and every single-byte substitution, at every
+   position, must fail the receiving NIC's check.  The lengths cover
+   every tail that is not a multiple of 4 words, plus one multi-cell
+   frame.  The damage is applied to the frame's own payload (which the
+   fault plane never does: it copies) and undone after each check. *)
+let checksum_catches_single_byte_damage () =
+  let prng = Sim.Prng.create 17 in
+  let src = Atm.Addr.of_int 1 and dst = Atm.Addr.of_int 2 in
+  let rejected = ref 0 in
+  List.iter
+    (fun len ->
+      let payload = Bytes.init len (fun _ -> Char.chr (Sim.Prng.int prng 256)) in
+      let frame = Atm.Frame.make ~src ~dst payload in
+      Alcotest.(check bool) "undamaged frame intact" true (Atm.Frame.intact frame);
+      let damaged_with i v =
+        let original = Bytes.get_uint8 payload i in
+        Bytes.set_uint8 payload i v;
+        let intact = Atm.Frame.intact frame in
+        Bytes.set_uint8 payload i original;
+        if intact then
+          Alcotest.failf "len %d: byte %d %02x -> %02x passed the checksum" len
+            i original v;
+        incr rejected
+      in
+      for i = 0 to len - 1 do
+        let original = Bytes.get_uint8 payload i in
+        for bit = 0 to 7 do
+          damaged_with i (original lxor (1 lsl bit))
+        done;
+        for v = 0 to 255 do
+          if v <> original then damaged_with i v
+        done
+      done;
+      Alcotest.(check bool)
+        "corrupted copy rejected" false
+        (Atm.Frame.intact (Atm.Frame.corrupted ~byte:len frame)))
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 4099 ];
+  check_int "every damaged frame rejected"
+    ((8 + 255) * (45 + 4099))
+    !rejected
+
 (* ---------------- Codec ---------------- *)
 
 let codec_roundtrip =
@@ -169,6 +210,8 @@ let addr_validation () =
 let suite =
   [
     Alcotest.test_case "aal cell arithmetic" `Quick aal_cells;
+    Alcotest.test_case "aal checksum rejects every single-byte damage" `Quick
+      checksum_catches_single_byte_damage;
     Alcotest.test_case "codec truncation" `Quick codec_truncation;
     Alcotest.test_case "codec bounds" `Quick codec_bounds;
     Alcotest.test_case "link delivery timing" `Quick link_delivery_time;

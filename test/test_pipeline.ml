@@ -233,7 +233,8 @@ let burst_gen =
     QCheck.Gen.(
       let item =
         map2
-          (fun off data -> { Rmem.Wire.off; data = Bytes.of_string data })
+          (fun off data ->
+            { Rmem.Wire.off; data = Atm.Codec.view (Bytes.of_string data) })
           (int_bound 100_000)
           (string_size ~gen:char (1 -- 300))
       in
@@ -253,7 +254,7 @@ let burst_roundtrip =
   QCheck.Test.make ~name:"burst codec roundtrip is byte-exact" ~count:300
     burst_gen (fun b ->
       match Rmem.Wire.decode (Rmem.Wire.encode (Rmem.Wire.Write_burst b)) with
-      | Rmem.Wire.Write_burst b' ->
+      | Ok (Rmem.Wire.Write_burst b') ->
           b'.Rmem.Wire.seg = b.Rmem.Wire.seg
           && Rmem.Generation.to_int b'.Rmem.Wire.gen
              = Rmem.Generation.to_int b.Rmem.Wire.gen
@@ -261,7 +262,7 @@ let burst_roundtrip =
           && List.length b'.Rmem.Wire.items = List.length b.Rmem.Wire.items
           && List.for_all2
                (fun (i : Rmem.Wire.burst_item) (j : Rmem.Wire.burst_item) ->
-                 i.off = j.off && Bytes.equal i.data j.data)
+                 i.off = j.off && Atm.Codec.view_equal i.data j.data)
                b'.Rmem.Wire.items b.Rmem.Wire.items
       | _ -> false)
 
@@ -289,7 +290,7 @@ let burst_frame_arithmetic =
          = Rmem.Wire.burst_header_bytes
            + List.fold_left
                (fun acc (i : Rmem.Wire.burst_item) ->
-                 acc + Rmem.Wire.burst_item_header_bytes + Bytes.length i.data)
+                 acc + Rmem.Wire.burst_item_header_bytes + i.data.len)
                0 items)
 
 (* ---------------- Lint vs policied retries ------------------------- *)

@@ -7,7 +7,9 @@ let check_bool = Alcotest.(check bool)
 
 let gen_message =
   QCheck.Gen.(
-    let bytes_gen = map Bytes.of_string (string_size (0 -- 300)) in
+    let bytes_gen =
+      map (fun s -> Atm.Codec.view (Bytes.of_string s)) (string_size (0 -- 300))
+    in
     let gen16 = map Rmem.Generation.of_int (1 -- 0xFFFF) in
     oneof
       [
@@ -63,7 +65,9 @@ let gen_message =
 let wire_roundtrip =
   QCheck.Test.make ~name:"wire encode/decode roundtrip" ~count:300
     (QCheck.make gen_message) (fun message ->
-      Rmem.Wire.decode (Rmem.Wire.encode message) = message)
+      match Rmem.Wire.decode (Rmem.Wire.encode message) with
+      | Ok decoded -> Rmem.Wire.equal decoded message
+      | Error _ -> false)
 
 let wire_write_header_size () =
   let encoded =
@@ -75,7 +79,7 @@ let wire_write_header_size () =
            off = 0;
            notify = false;
            swab = false;
-           data = Bytes.make 40 'x';
+           data = Atm.Codec.view (Bytes.make 40 'x');
          })
   in
   (* 8-byte header + 40 data bytes = exactly one 48-byte cell payload. *)
@@ -87,6 +91,178 @@ let wire_data_cells () =
   check_int "40" 1 (Rmem.Wire.data_cells 40);
   check_int "41" 2 (Rmem.Wire.data_cells 41);
   check_int "4K paper figure" 103 (Rmem.Wire.data_cells 4096)
+
+(* ---------------- Wire fuzz ---------------- *)
+
+(* Valid messages of all seven kinds, including failure statuses. *)
+let gen_any_message =
+  QCheck.Gen.(
+    let view_gen =
+      map (fun s -> Atm.Codec.view (Bytes.of_string s)) (string_size (0 -- 200))
+    in
+    let status = map Rmem.Status.of_code (0 -- 7) in
+    let gen16 = map Rmem.Generation.of_int (1 -- 0xFFFF) in
+    let nack =
+      map
+        (fun (status, seg, gen, off, count) ->
+          Rmem.Wire.Write_nack { status; seg; gen; off; count })
+        (tup5 status (0 -- 255) gen16 (0 -- 0xFFFFFF) (0 -- 0xFFFFF))
+    in
+    let burst =
+      map
+        (fun (seg, gen, notify, swab, items) ->
+          Rmem.Wire.Write_burst
+            {
+              seg;
+              gen;
+              notify;
+              swab;
+              items =
+                List.map (fun (off, data) -> { Rmem.Wire.off; data }) items;
+            })
+        (tup5 (0 -- 255) gen16 bool bool
+           (list_size (0 -- 6) (pair (0 -- 0xFFFFFF) view_gen)))
+    in
+    let reply =
+      map
+        (fun (status, reqid, chunk_off, data) ->
+          Rmem.Wire.Read_reply
+            { status; reqid; chunk_off; swab = reqid mod 2 = 0; data })
+        (tup4 status (1 -- 0xFFFF) (0 -- 0xFFFFFF) view_gen)
+    in
+    frequency [ (4, gen_message); (1, nack); (2, burst); (1, reply) ])
+
+let print_message m = Printf.sprintf "%d-byte frame" (Rmem.Wire.encoded_bytes m)
+
+let decodes_without_raising payload =
+  match Rmem.Wire.decode payload with Ok _ | Error _ -> true
+
+let wire_fuzz_random_bytes =
+  QCheck.Test.make ~name:"wire decode is total on random bytes" ~count:2000
+    QCheck.(
+      pair (int_bound 0x3F) (string_of_size Gen.(0 -- 120)))
+    (fun (tag, rest) ->
+      (* Bias the first byte into (and around) the protocol's tag ranges. *)
+      let payload = Bytes.of_string (String.make 1 (Char.chr (tag + 0x08)) ^ rest) in
+      decodes_without_raising payload
+      && decodes_without_raising (Bytes.of_string rest))
+
+let wire_fuzz_damaged_frames =
+  QCheck.Test.make
+    ~name:"wire decode is total on truncated and bit-flipped frames"
+    ~count:1000
+    QCheck.(
+      triple (make ~print:print_message gen_any_message) (int_bound 100_000)
+        (int_bound 7))
+    (fun (message, at, bit) ->
+      let frame = Rmem.Wire.encode message in
+      let len = Bytes.length frame in
+      let truncated = Bytes.sub frame 0 (at mod len) in
+      let flipped = Bytes.copy frame in
+      let i = at mod len in
+      Bytes.set_uint8 flipped i (Bytes.get_uint8 flipped i lxor (1 lsl bit));
+      decodes_without_raising truncated && decodes_without_raising flipped)
+
+let wire_roundtrip_all_kinds =
+  QCheck.Test.make
+    ~name:"wire roundtrip and exact sizing, all seven kinds" ~count:1000
+    (QCheck.make ~print:print_message gen_any_message)
+    (fun message ->
+      let frame = Rmem.Wire.encode message in
+      Bytes.length frame = Rmem.Wire.encoded_bytes message
+      &&
+      match Rmem.Wire.decode frame with
+      | Ok decoded -> Rmem.Wire.equal decoded message
+      | Error _ -> false)
+
+(* A frame that passes the AAL check but does not parse is counted and
+   dropped at the receiver; the run goes on and later traffic lands. *)
+let malformed_frames_dropped () =
+  let d = Rig.duo () in
+  let garbage =
+    [
+      Bytes.of_string "\x12";  (* WRITE tag, header cut short *)
+      Bytes.of_string "\x16\x09\x00\x00\x00\x00\x00\x00";  (* status 9 *)
+      Bytes.of_string "\x10\x00";  (* op 0 *)
+      Bytes.of_string "\x14\x01\x01\x00\x00\x00\x00\x00\x04\x00\x00\x00\x01\x00\xff";
+      (* a READ with a trailing byte *)
+    ]
+  in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      List.iter
+        (fun payload ->
+          Cluster.Node.transmit d.Rig.node0 ~dst:(Cluster.Node.addr d.Rig.node1)
+            payload)
+        garbage;
+      Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:64
+        (Bytes.of_string "still alive");
+      Rmem.Remote_memory.fence d.Rig.rmem0 desc);
+  check_int "malformed frames counted" (List.length garbage)
+    (Rmem.Remote_memory.malformed d.Rig.rmem1);
+  check_int "sender saw none" 0 (Rmem.Remote_memory.malformed d.Rig.rmem0);
+  Alcotest.(check string)
+    "later write landed" "still alive"
+    (Bytes.to_string
+       (Cluster.Address_space.read d.Rig.space1 ~addr:64 ~len:11))
+
+(* ---------------- Allocation regression ---------------- *)
+
+(* Host allocation of the data path, in exact minor-heap words per
+   operation on a two-node Star testbed once warm: a 4 KB unbatched
+   WRITE and a 4 KB READ, each run to quiescence (every frame delivered
+   and deposited).  The bounds sit 15% above the measured levels, below
+   the 538 minor words one re-added copy of every chunk costs (twelve
+   320-byte chunks of 42 words and a 256-byte one of 34), so such a copy
+   fails here deterministically. *)
+let write_4k_words_bound = 3635. (* measured 3161 *)
+let read_4k_words_bound = 3701. (* measured 3218 *)
+
+let alloc_per_4k_op () =
+  let testbed =
+    Cluster.Testbed.create ~topology:Atm.Network.Star ~nodes:2 ()
+  in
+  let n0 = Cluster.Testbed.node testbed 0 and n1 = Cluster.Testbed.node testbed 1 in
+  let r0 = Rmem.Remote_memory.attach n0 and r1 = Rmem.Remote_memory.attach n1 in
+  let space0 = Cluster.Node.new_address_space n0 in
+  let space1 = Cluster.Node.new_address_space n1 in
+  let len = 65536 in
+  let desc =
+    Cluster.Testbed.run testbed (fun () ->
+        let seg =
+          Rmem.Remote_memory.export r1 ~space:space1 ~base:0 ~len
+            ~rights:Rmem.Rights.all ~name:"alloc" ()
+        in
+        Rmem.Remote_memory.import r0 ~remote:(Cluster.Node.addr n1)
+          ~segment_id:(Rmem.Segment.id seg)
+          ~generation:(Rmem.Segment.generation seg)
+          ~size:len ~rights:Rmem.Rights.all ())
+  in
+  let block = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  let dst = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:4096 in
+  let write i = Rmem.Remote_memory.write r0 desc ~off:(4096 * (i mod 16)) block in
+  let read i =
+    Rmem.Remote_memory.read_wait r0 desc ~soff:(4096 * (i mod 16)) ~count:4096
+      ~dst ~doff:0 ()
+  in
+  let words_per_op op =
+    let n = 64 in
+    (* Warm-up: touch every page and grow every table first. *)
+    Cluster.Testbed.run testbed (fun () -> for i = 0 to n - 1 do op i done);
+    let before = Gc.minor_words () in
+    Cluster.Testbed.run testbed (fun () -> for i = 0 to n - 1 do op i done);
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let write_words = words_per_op write in
+  let read_words = words_per_op read in
+  Alcotest.(check bool)
+    (Printf.sprintf "write: %.1f words <= %.0f" write_words write_4k_words_bound)
+    true
+    (write_words <= write_4k_words_bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "read: %.1f words <= %.0f" read_words read_4k_words_bound)
+    true
+    (read_words <= read_4k_words_bound)
 
 (* ---------------- Data transfer ---------------- *)
 
@@ -460,6 +636,12 @@ let suite =
     Alcotest.test_case "well-known segment ids" `Quick well_known_id_export;
     Alcotest.test_case "fence orders writes" `Quick fence_orders_writes;
     Alcotest.test_case "byte accounting" `Quick stats_track_bytes;
+    Alcotest.test_case "malformed frames counted and dropped" `Quick
+      malformed_frames_dropped;
+    Alcotest.test_case "data path allocation per 4 KB op" `Quick alloc_per_4k_op;
     QCheck_alcotest.to_alcotest wire_roundtrip;
+    QCheck_alcotest.to_alcotest wire_roundtrip_all_kinds;
+    QCheck_alcotest.to_alcotest wire_fuzz_random_bytes;
+    QCheck_alcotest.to_alcotest wire_fuzz_damaged_frames;
     QCheck_alcotest.to_alcotest write_then_read_identity;
   ]

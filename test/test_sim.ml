@@ -258,6 +258,55 @@ let engine_daemons_never_deadlock () =
   check_int "with daemons included" 1
     (List.length (Sim.Engine.blocked ~daemons:true engine))
 
+(* Waiter descriptions are formatted lazily from (kind, name); they must
+   read exactly as the eagerly formatted [kind "name"] strings did, in
+   both [Engine.blocked] and the [Deadlock] report. *)
+let engine_blocked_descriptions () =
+  let d = Rig.duo () in
+  let engine = d.Rig.engine in
+  let mailbox = Sim.Mailbox.create ~name:"in\"box" () in
+  let ivar = Sim.Ivar.create ~name:"done" () in
+  let resource = Sim.Resource.create ~name:"port\t0" () in
+  let fd = Rmem.Notification.create ~name:"seg fd" d.Rig.node1 in
+  Sim.Proc.spawn ~name:"holder" engine (fun () ->
+      Sim.Resource.acquire resource;
+      ignore (Sim.Ivar.read (Sim.Ivar.create ~name:"forever" ())));
+  Sim.Proc.spawn ~name:"m" engine (fun () -> ignore (Sim.Mailbox.recv mailbox));
+  Sim.Proc.spawn ~name:"i" engine (fun () -> ignore (Sim.Ivar.read ivar : int));
+  Sim.Proc.spawn ~name:"r" engine (fun () -> Sim.Resource.acquire resource);
+  Sim.Proc.spawn ~name:"n" engine (fun () ->
+      ignore (Rmem.Notification.wait fd));
+  let expected =
+    [
+      ("holder", {|ivar "forever"|});
+      ("m", {|mailbox "in\"box"|});
+      ("i", {|ivar "done"|});
+      ("r", {|resource "port\t0"|});
+      ("n", {|notification "seg fd"|});
+    ]
+  in
+  let described blocked =
+    List.map
+      (fun b -> (b.Sim.Engine.process, b.Sim.Engine.resource))
+      blocked
+  in
+  match Sim.Engine.run engine with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Engine.Deadlock (_, blocked) ->
+      Alcotest.(check (list (pair string string)))
+        "deadlock payload" expected (described blocked);
+      Alcotest.(check (list (pair string string)))
+        "Engine.blocked" expected
+        (described (Sim.Engine.blocked engine));
+      Alcotest.(check string)
+        "deadlock report"
+        ("deadlock: holder blocked on ivar \"forever\" since 0ns; "
+       ^ "m blocked on mailbox \"in\\\"box\" since 0ns; "
+       ^ "i blocked on ivar \"done\" since 0ns; "
+       ^ "r blocked on resource \"port\\t0\" since 0ns; "
+       ^ "n blocked on notification \"seg fd\" since 0ns")
+        (Sim.Engine.deadlock_report blocked)
+
 (* ---------------- Proc ---------------- *)
 
 let proc_wait_accumulates () =
@@ -488,6 +537,8 @@ let suite =
       engine_deadlock_names_waiters;
     Alcotest.test_case "daemon waiters never deadlock" `Quick
       engine_daemons_never_deadlock;
+    Alcotest.test_case "blocked descriptions are kind \"name\"" `Quick
+      engine_blocked_descriptions;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest prng_bounds;
