@@ -17,7 +17,7 @@ type handler = src:Atm.Addr.t -> bytes -> unit
 
 type t = {
   node : Cluster.Node.t;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler option array; (* by handler id, one byte *)
   mutable sent : int;
   mutable delivered : int;
   mutable handler_cpu : Sim.Time.t; (* receiver CPU spent in upcalls *)
@@ -27,7 +27,7 @@ let attach node =
   let t =
     {
       node;
-      handlers = Hashtbl.create 8;
+      handlers = Array.make 256 None;
       sent = 0;
       delivered = 0;
       handler_cpu = Sim.Time.zero;
@@ -49,7 +49,7 @@ let attach node =
               ~payload_bytes:(Bytes.length payload)));
       (* ...then run the handler upcall right here.  The handler charges
          its own computation (category: procedure). *)
-      match Hashtbl.find_opt t.handlers id with
+      match t.handlers.(id) with
       | Some handler ->
           let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
           handler ~src args;
@@ -65,8 +65,9 @@ let attach node =
 
 let register t ~id handler =
   if id < 0 || id > 255 then invalid_arg "Amsg.register: id out of range";
-  if Hashtbl.mem t.handlers id then invalid_arg "Amsg.register: id in use";
-  Hashtbl.replace t.handlers id handler
+  if Option.is_some t.handlers.(id) then
+    invalid_arg "Amsg.register: id in use";
+  t.handlers.(id) <- Some handler
 
 let send t ~dst ~handler args =
   let len = Bytes.length args in

@@ -28,6 +28,7 @@ type t = {
   engine : Sim.Engine.t;
   config : Config.t;
   deliver : Frame.t -> unit;
+  cell_time : Sim.Time.t; (* one cell's wire time, [Config.cell_wire_time] *)
   mutable next_free : Sim.Time.t;
   mutable queued : int; (* frames accepted but not yet delivered *)
   mutable frames_sent : int;
@@ -46,6 +47,7 @@ let create ?(name = "link") engine config ~deliver =
     engine;
     config;
     deliver;
+    cell_time = Config.cell_wire_time config;
     next_free = Sim.Time.zero;
     queued = 0;
     frames_sent = 0;
@@ -73,7 +75,9 @@ let enqueue t frame ~jitter =
   else begin
     let len = Frame.length frame in
     let cells = Aal.cells_of_len len in
-    let tx_time = Config.frame_wire_time t.config len in
+    (* Equal to [Config.frame_wire_time]: the float product it rounds
+       is exact for integers below 2^53. *)
+    let tx_time = cells * t.cell_time in
     let now = Sim.Engine.now t.engine in
     let start = Sim.Time.max now t.next_free in
     t.next_free <- Sim.Time.add start tx_time;

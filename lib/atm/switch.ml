@@ -10,15 +10,21 @@
    A frame addressed to a destination that was never attached and has no
    route (or whose node has been cut out of the fabric) is dropped and
    counted, not fatal: a crashed or partitioned peer must not abort the
-   whole simulation. *)
+   whole simulation.
+
+   Tables are arrays indexed by host address.  [out] is the resolved
+   forwarding table — the downlink when the destination is attached
+   here, else its route — so forwarding a frame is one array load.
+   [down] remembers which destinations are attached, so a route added
+   later never displaces a downlink. *)
 
 type t = {
   engine : Sim.Engine.t;
   config : Config.t;
   name : string;
-  downlinks : (int, Link.t) Hashtbl.t;
-  uplinks : (int, Link.t) Hashtbl.t;
-  routes : (int, Link.t) Hashtbl.t;
+  mutable down : Link.t option array; (* attached downlinks *)
+  mutable up : Link.t option array; (* attached uplinks *)
+  mutable out : Link.t option array; (* downlink, else route *)
   (* outgoing inter-switch trunks, in creation order (kept reversed) *)
   mutable trunks : Link.t list;
   mutable outputs : Link.t array;
@@ -33,9 +39,9 @@ let create ?(name = "switch") engine config =
     engine;
     config;
     name;
-    downlinks = Hashtbl.create 8;
-    uplinks = Hashtbl.create 8;
-    routes = Hashtbl.create 8;
+    down = [||];
+    up = [||];
+    out = [||];
     trunks = [];
     outputs = [||];
     frames_switched = 0;
@@ -45,6 +51,21 @@ let create ?(name = "switch") engine config =
 let name t = t.name
 let add_output t link = t.outputs <- Array.append t.outputs [| link |]
 
+(* [table] with [link] at [index], grown (doubling) with [None]s as
+   needed. *)
+let set table index link =
+  let table =
+    if index < Array.length table then table
+    else begin
+      let size = Stdlib.max (index + 1) (2 * Array.length table) in
+      let grown = Array.make size None in
+      Array.blit table 0 grown 0 (Array.length table);
+      grown
+    end
+  in
+  table.(index) <- Some link;
+  table
+
 let attach_port t nic =
   let addr = Nic.addr nic in
   let down =
@@ -53,16 +74,13 @@ let attach_port t nic =
       t.engine t.config
       ~deliver:(fun frame -> Nic.deliver nic frame)
   in
-  Hashtbl.replace t.downlinks (Addr.to_int addr) down;
+  t.down <- set t.down (Addr.to_int addr) down;
+  t.out <- set t.out (Addr.to_int addr) down;
   add_output t down
 
 let forward t frame =
   let dst = Addr.to_int (Frame.dst frame) in
-  let out =
-    match Hashtbl.find_opt t.downlinks dst with
-    | Some _ as hit -> hit
-    | None -> Hashtbl.find_opt t.routes dst
-  in
+  let out = if dst >= 0 && dst < Array.length t.out then t.out.(dst) else None in
   match out with
   | None -> t.drops <- t.drops + 1
   | Some link ->
@@ -80,7 +98,7 @@ let uplink_for t nic_addr =
       t.engine t.config
       ~deliver:(fun frame -> forward t frame)
   in
-  Hashtbl.replace t.uplinks (Addr.to_int nic_addr) up;
+  t.up <- set t.up (Addr.to_int nic_addr) up;
   up
 
 let trunk_to t peer =
@@ -94,7 +112,11 @@ let trunk_to t peer =
   add_output t link;
   link
 
-let add_route t ~dst link = Hashtbl.replace t.routes dst link
+let attached table i = i < Array.length table && Option.is_some table.(i)
+
+let add_route t ~dst link =
+  if dst < 0 then invalid_arg "Switch.add_route: negative destination";
+  if not (attached t.down dst) then t.out <- set t.out dst link
 
 let frames_switched t = t.frames_switched
 let drops t = t.drops
@@ -114,13 +136,12 @@ let queue_depth t =
    downlink switch -> j is [(None, Some j)], an inter-switch trunk is
    [(None, None)]. *)
 let links t =
-  let by_port (a, _) (b, _) = compare (a : int) b in
-  let sorted table =
-    Hashtbl.fold (fun i l acc -> (i, l) :: acc) table [] |> List.sort by_port
+  let by_port table edge =
+    Array.to_list table
+    |> List.mapi (fun i l -> Option.map (edge i) l)
+    |> List.filter_map Fun.id
   in
-  let ups = sorted t.uplinks |> List.map (fun (i, l) -> (Some i, None, l)) in
-  let downs =
-    sorted t.downlinks |> List.map (fun (j, l) -> (None, Some j, l))
-  in
+  let ups = by_port t.up (fun i l -> (Some i, None, l)) in
+  let downs = by_port t.down (fun j l -> (None, Some j, l)) in
   let trunks = List.rev_map (fun l -> (None, None, l)) t.trunks in
   ups @ downs @ trunks

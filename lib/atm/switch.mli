@@ -29,7 +29,8 @@ val trunk_to : t -> t -> Link.t
 val add_route : t -> dst:int -> Link.t -> unit
 (** Route frames for host address [dst] onto an output link (normally a
     trunk created with {!trunk_to}). Directly attached ports take
-    precedence over routes. *)
+    precedence over routes, whichever was added first. Raises
+    [Invalid_argument] on a negative [dst]. *)
 
 val forward : t -> Frame.t -> unit
 (** Inject a frame into this switch's forwarding logic (as an arriving

@@ -13,16 +13,18 @@ exception Fault of { asid : int; addr : int }
 
 let default_page_size = 4096
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   asid : int;
   page_size : int;
-  pages : (int, bytes) Hashtbl.t;
-  pin_counts : (int, int) Hashtbl.t;
+  pages : bytes Int_tbl.t;
+  pin_counts : int Int_tbl.t;
 }
 
 let create ?(page_size = default_page_size) ~asid () =
   if page_size <= 0 then invalid_arg "Address_space.create: bad page size";
-  { asid; page_size; pages = Hashtbl.create 64; pin_counts = Hashtbl.create 16 }
+  { asid; page_size; pages = Int_tbl.create 64; pin_counts = Int_tbl.create 16 }
 
 let asid t = t.asid
 let page_size t = t.page_size
@@ -33,11 +35,11 @@ let check_range t ~addr ~len =
 let page_of t addr = addr / t.page_size
 
 let page t index =
-  match Hashtbl.find t.pages index with
+  match Int_tbl.find t.pages index with
   | bytes -> bytes
   | exception Not_found ->
       let bytes = Bytes.make t.page_size '\000' in
-      Hashtbl.add t.pages index bytes;
+      Int_tbl.add t.pages index bytes;
       bytes
 
 (* Copy [len] bytes between [buf] at [pos] and the pages from [addr] on:
@@ -89,8 +91,8 @@ let pin t ~addr ~len =
   check_range t ~addr ~len;
   let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
   for index = first to last do
-    let n = Option.value ~default:0 (Hashtbl.find_opt t.pin_counts index) in
-    Hashtbl.replace t.pin_counts index (n + 1)
+    let n = Option.value ~default:0 (Int_tbl.find_opt t.pin_counts index) in
+    Int_tbl.replace t.pin_counts index (n + 1)
   done;
   last - first + 1
 
@@ -98,10 +100,10 @@ let unpin t ~addr ~len =
   check_range t ~addr ~len;
   let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
   for index = first to last do
-    match Hashtbl.find_opt t.pin_counts index with
+    match Int_tbl.find_opt t.pin_counts index with
     | None | Some 0 -> invalid_arg "Address_space.unpin: page not pinned"
-    | Some 1 -> Hashtbl.remove t.pin_counts index
-    | Some n -> Hashtbl.replace t.pin_counts index (n - 1)
+    | Some 1 -> Int_tbl.remove t.pin_counts index
+    | Some n -> Int_tbl.replace t.pin_counts index (n - 1)
   done
 
 let is_pinned t ~addr ~len =
@@ -110,7 +112,7 @@ let is_pinned t ~addr ~len =
   let index = ref first in
   while
     !index <= last
-    && match Hashtbl.find t.pin_counts !index with
+    && match Int_tbl.find t.pin_counts !index with
        | n -> n > 0
        | exception Not_found -> false
   do
@@ -119,6 +121,6 @@ let is_pinned t ~addr ~len =
   !index > last
 
 let pinned_pages t =
-  Hashtbl.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0
+  Int_tbl.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0
 
-let resident_pages t = Hashtbl.length t.pages
+let resident_pages t = Int_tbl.length t.pages

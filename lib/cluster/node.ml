@@ -10,15 +10,17 @@
 
 type handler = src:Atm.Addr.t -> bytes -> unit
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   addr : Atm.Addr.t;
   engine : Sim.Engine.t;
   costs : Costs.t;
   cpu : Cpu.t;
   nic : Atm.Nic.t;
-  spaces : (int, Address_space.t) Hashtbl.t;
+  spaces : Address_space.t Int_tbl.t;
   mutable next_asid : int;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler option array; (* by tag byte *)
   prng : Sim.Prng.t;
   mutable started : bool;
   mutable down : bool;
@@ -31,9 +33,9 @@ let create engine ~costs ~nic ~prng =
     costs;
     cpu = Cpu.create ~name:(Atm.Addr.to_string (Atm.Nic.addr nic)) ();
     nic;
-    spaces = Hashtbl.create 8;
+    spaces = Int_tbl.create 8;
     next_asid = 1;
-    handlers = Hashtbl.create 8;
+    handlers = Array.make 256 None;
     prng;
     started = false;
     down = false;
@@ -52,16 +54,17 @@ let new_address_space t =
   let asid = t.next_asid in
   t.next_asid <- asid + 1;
   let space = Address_space.create ~asid () in
-  Hashtbl.replace t.spaces asid space;
+  Int_tbl.replace t.spaces asid space;
   space
 
-let address_space t asid = Hashtbl.find_opt t.spaces asid
+let address_space t asid = Int_tbl.find_opt t.spaces asid
+let address_spaces t = Int_tbl.length t.spaces
 
 let set_handler t ~tag handler =
   if tag < 0 || tag > 255 then invalid_arg "Node.set_handler: tag out of range";
-  if Hashtbl.mem t.handlers tag then
+  if Option.is_some t.handlers.(tag) then
     invalid_arg "Node.set_handler: tag already claimed";
-  Hashtbl.replace t.handlers tag handler
+  t.handlers.(tag) <- Some handler
 
 let transmit ?ctx t ~dst payload = Atm.Nic.transmit ?ctx t.nic ~dst payload
 
@@ -72,8 +75,8 @@ let dispatch t frame =
   let payload = Atm.Frame.payload frame in
   if Bytes.length payload = 0 then failwith "Node.dispatch: empty frame";
   let tag = Char.code (Bytes.get payload 0) in
-  match Hashtbl.find t.handlers tag with
-  | handler ->
+  match t.handlers.(tag) with
+  | Some handler ->
       (* The frame's trace context is visible to serve-side hooks for
          exactly the synchronous prefix of the handler — the
          interrupt-level work done before any spawn or block. *)
@@ -81,7 +84,7 @@ let dispatch t frame =
       Obs.Trace.dispatch_begin ~node (Atm.Frame.ctx frame);
       handler ~src:(Atm.Frame.src frame) payload;
       Obs.Trace.dispatch_end ~node
-  | exception Not_found ->
+  | None ->
       failwith
         (Printf.sprintf "%s: no protocol handler for tag 0x%02x"
            (Atm.Addr.to_string t.addr) tag)

@@ -26,6 +26,9 @@ val spawn : ?name:string -> t -> (unit -> unit) -> unit
 val new_address_space : t -> Address_space.t
 val address_space : t -> int -> Address_space.t option
 
+val address_spaces : t -> int
+(** Number of address spaces registered with {!new_address_space}. *)
+
 val set_handler : t -> tag:int -> handler -> unit
 (** Claim a protocol tag byte. Raises [Invalid_argument] if already
     claimed or out of [0..255]. *)

@@ -83,15 +83,18 @@ type monitor_event =
       cas_success : bool option;
     }
 
+(* Request ids and segment ids key the per-frame lookups. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   node : Cluster.Node.t;
   mutable rx_request_category : string;
   mutable tx_reply_category : string;
   mutable client_category : string;
-  exported : (int, Segment.t) Hashtbl.t;
+  exported : Segment.t Int_tbl.t;
   mutable next_segment_id : int;
   mutable next_generation : Generation.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Int_tbl.t;
   mutable next_reqid : int;
   completion_fd : Notification.t;
   ops : Metrics.Account.t;
@@ -184,10 +187,10 @@ let attach node =
       rx_request_category = Cluster.Cpu.cat_emulation;
       tx_reply_category = Cluster.Cpu.cat_emulation;
       client_category = Cluster.Cpu.cat_emulation;
-      exported = Hashtbl.create 16;
+      exported = Int_tbl.create 16;
       next_segment_id = 1;
       next_generation = Generation.initial;
-      pending = Hashtbl.create 16;
+      pending = Int_tbl.create 16;
       next_reqid = 1;
       completion_fd = Notification.create ~name:"completion fd" node;
       ops = Metrics.Account.create ~name:"rmem ops" ();
@@ -224,10 +227,10 @@ let errors t = t.errors
 let malformed t = t.malformed
 
 (* Instantaneous state for the telemetry sampler. *)
-let inflight t = Hashtbl.length t.pending
+let inflight t = Int_tbl.length t.pending
 
 let notification_backlog t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ segment acc -> acc + Notification.pending (Segment.notification segment))
     t.exported
     (Notification.pending t.completion_fd)
@@ -298,7 +301,7 @@ let deposit crypto ~swab (data : Atm.Codec.view) space ~addr =
 let alloc_segment_id t =
   let rec probe attempts candidate =
     if attempts > 256 then failwith "Remote_memory: out of segment ids"
-    else if Hashtbl.mem t.exported candidate then
+    else if Int_tbl.mem t.exported candidate then
       probe (attempts + 1) ((candidate + 1) land 0xFF)
     else candidate
   in
@@ -313,7 +316,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
     match id with
     | None -> alloc_segment_id t
     | Some id ->
-        if Hashtbl.mem t.exported id then
+        if Int_tbl.mem t.exported id then
           invalid_arg "Remote_memory.export: id in use";
         id
   in
@@ -328,7 +331,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
     Segment.create ~id ~name ~space ~base ~len ~generation
       ~default_rights:rights ~notification ~policy
   in
-  Hashtbl.replace t.exported id segment;
+  Int_tbl.replace t.exported id segment;
   Metrics.Account.add t.ops ~category:"export" 1.;
   emit t (Exported segment);
   segment
@@ -336,15 +339,15 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
 let revoke t segment =
   let c = costs t in
   Segment.mark_revoked segment;
-  Hashtbl.remove t.exported (Segment.id segment);
+  Int_tbl.remove t.exported (Segment.id segment);
   Cluster.Address_space.unpin (Segment.space segment)
     ~addr:(Segment.base segment) ~len:(Segment.length segment);
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     c.Cluster.Costs.segment_revoke_kernel;
   Metrics.Account.add t.ops ~category:"revoke" 1.
 
-let lookup_export t id = Hashtbl.find_opt t.exported id
-let exports t = Hashtbl.fold (fun _ segment acc -> segment :: acc) t.exported []
+let lookup_export t id = Int_tbl.find_opt t.exported id
+let exports t = Int_tbl.fold (fun _ segment acc -> segment :: acc) t.exported []
 
 let import t ~remote ~segment_id ~generation ~size
     ?(rights = Rights.read_only) () =
@@ -383,7 +386,7 @@ let alloc_reqid t =
     if attempts > 0x10000 then failwith "Remote_memory: out of request ids"
     else
       let candidate = if candidate = 0 then 1 else candidate in
-      if Hashtbl.mem t.pending candidate then
+      if Int_tbl.mem t.pending candidate then
         probe (attempts + 1) ((candidate + 1) land 0xFFFF)
       else candidate
   in
@@ -556,7 +559,7 @@ let read_async t desc ~soff ~count ~dst ~doff ?(notify = false)
   in
   let completion = Sim.Ivar.create ~name:"rmem READ completion" () in
   let reqid = alloc_reqid t in
-  Hashtbl.replace t.pending reqid
+  Int_tbl.replace t.pending reqid
     (Pending_read
        { desc; soff; buf = dst; doff; count; notify; received = 0; completion });
   Obs.Trace.phase fl "trap";
@@ -593,7 +596,7 @@ let read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
       Sim.Proc.spawn (Cluster.Node.engine t.node) (fun () ->
           Sim.Proc.wait span;
           if not (Sim.Ivar.is_full completion) then begin
-            Hashtbl.remove t.pending reqid;
+            Int_tbl.remove t.pending reqid;
             Metrics.Account.add t.errors ~category:"timeout" 1.;
             Sim.Ivar.fill completion Status.Timed_out
           end));
@@ -629,7 +632,7 @@ let cas_submit t desc ~doff ~old_value ~new_value ?result ?(notify = false) () =
   in
   let completion = Sim.Ivar.create ~name:"rmem CAS completion" () in
   let reqid = alloc_reqid t in
-  Hashtbl.replace t.pending reqid
+  Int_tbl.replace t.pending reqid
     (Pending_cas { desc; cas_doff = doff; result; notify; old_value; completion });
   Obs.Trace.phase fl "trap";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
@@ -669,13 +672,19 @@ let take_write_failure t desc =
       Hashtbl.remove t.write_failures key;
       Some status
 
+(* A private scratch space for one read-back: created per call and never
+   registered with the node (whose spaces number from 1), so it is
+   garbage once the call returns.  A shared scratch would race between
+   concurrent verifiers. *)
+let scratch_space () = Cluster.Address_space.create ~asid:0 ()
+
 (* Writes are unacknowledged; links are FIFO.  A fence is therefore one
    minimal read round trip: when it returns, every WRITE this node
    previously issued toward the same segment has been deposited — or, if
    the destination had to drop one, its nack has arrived and the fence
    reports the loss instead of succeeding silently. *)
 let fence ?timeout t desc =
-  let space = Cluster.Node.new_address_space t.node in
+  let space = scratch_space () in
   let dst = buffer ~space ~base:0 ~len:4 in
   read_wait ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
   match take_write_failure t desc with
@@ -695,7 +704,7 @@ let cas_wait ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
             (* Drop the pending entry too, so a reply that straggles in
                after the timeout is discarded instead of double-filling
                the completion. *)
-            Hashtbl.remove t.pending reqid;
+            Int_tbl.remove t.pending reqid;
             Metrics.Account.add t.errors ~category:"timeout" 1.;
             Sim.Ivar.fill completion (Status.Timed_out, 0l)
           end));
@@ -809,7 +818,7 @@ let write_with t ~policy desc ~off ?notify ?(swab = false) data =
       write t desc ~off ~swab ?notify data;
       if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
       else begin
-        let space = Cluster.Node.new_address_space t.node in
+        let space = scratch_space () in
         let dst = buffer ~space ~base:0 ~len:count in
         read_wait
           ~timeout:(Recovery.timeout policy)
@@ -848,7 +857,7 @@ let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
       write_burst t desc ?notify ~swab extents;
       if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
       else begin
-        let space = Cluster.Node.new_address_space t.node in
+        let space = scratch_space () in
         let dst = buffer ~space ~base:0 ~len:span in
         read_wait
           ~timeout:(Recovery.timeout policy)
@@ -885,9 +894,9 @@ let fence_with t ~policy desc =
    unblock with Timed_out rather than hanging forever, and forget any
    recorded write nacks. *)
 let crash t =
-  let pend = Hashtbl.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
+  let pend = Int_tbl.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
   let pend = List.sort (fun (a, _) (b, _) -> compare (a : int) b) pend in
-  Hashtbl.reset t.pending;
+  Int_tbl.reset t.pending;
   Hashtbl.reset t.write_failures;
   List.iter
     (fun (_, p) ->
@@ -906,7 +915,7 @@ let crash t =
    restart; pages stay pinned (the exporting process is assumed to
    re-register immediately). *)
 let restart_exports ?(preserve = []) t =
-  let segs = Hashtbl.fold (fun _ segment acc -> segment :: acc) t.exported [] in
+  let segs = Int_tbl.fold (fun _ segment acc -> segment :: acc) t.exported [] in
   let segs =
     List.sort (fun a b -> compare (Segment.id a) (Segment.id b)) segs
   in
@@ -922,7 +931,7 @@ let restart_exports ?(preserve = []) t =
         end
       in
       Segment.mark_revoked old;
-      Hashtbl.remove t.exported id;
+      Int_tbl.remove t.exported id;
       let segment =
         Segment.create ~id ~name:(Segment.name old)
           ~space:(Segment.space old) ~base:(Segment.base old)
@@ -930,7 +939,7 @@ let restart_exports ?(preserve = []) t =
           ~default_rights:(Segment.default_rights old)
           ~notification:(Segment.notification old) ~policy:(Segment.policy old)
       in
-      Hashtbl.replace t.exported id segment;
+      Int_tbl.replace t.exported id segment;
       Metrics.Account.add t.ops ~category:"re-export" 1.;
       emit t (Exported segment))
     segs
@@ -942,7 +951,7 @@ let record_error t status =
   Metrics.Account.add t.errors ~category:(Status.to_string status) 1.
 
 let validate_segment t ~src ~seg ~gen ~off ~count op =
-  match Hashtbl.find t.exported seg with
+  match Int_tbl.find t.exported seg with
   | exception Not_found -> Error Status.Bad_segment
   | segment ->
       if Segment.is_revoked segment then Error Status.Bad_segment
@@ -1092,7 +1101,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
       match validate b.items with
       | Error (status, off, count) -> drop status ~off ~count
       | Ok () ->
-          let segment = Hashtbl.find t.exported b.seg in
+          let segment = Int_tbl.find t.exported b.seg in
           let crypto = t.crypto in
           List.iter
             (fun it ->
@@ -1315,18 +1324,18 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Hashtbl.find t.pending r.reqid with
+  (match Int_tbl.find t.pending r.reqid with
   | exception Not_found -> () (* late reply after a timeout: dropped *)
   | Pending_cas p ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
-      Hashtbl.remove t.pending r.reqid;
+      Int_tbl.remove t.pending r.reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
   | Pending_read p ->
       if r.status <> Status.Ok then begin
-        Hashtbl.remove t.pending r.reqid;
+        Int_tbl.remove t.pending r.reqid;
         record_error t r.status;
         read_completed t ~desc:p.desc ~off:p.soff ~count:p.count r.status;
         Obs.Trace.root_close sv ~status:(Status.to_string r.status);
@@ -1339,7 +1348,7 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
           ~addr:(p.buf.base + p.doff + r.chunk_off);
         p.received <- p.received + count;
         if p.received >= p.count then begin
-          Hashtbl.remove t.pending r.reqid;
+          Int_tbl.remove t.pending r.reqid;
           if p.notify then
             Notification.post
               ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1364,17 +1373,17 @@ let handle_cas_reply t ~src (r : Wire.cas_reply) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
        c.Cluster.Costs.reply_match);
-  (match Hashtbl.find_opt t.pending r.reqid with
+  (match Int_tbl.find_opt t.pending r.reqid with
   | None -> ()
   | Some (Pending_read p) ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
-      Hashtbl.remove t.pending r.reqid;
+      Int_tbl.remove t.pending r.reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion Status.Bad_segment
   | Some (Pending_cas p) ->
-      Hashtbl.remove t.pending r.reqid;
+      Int_tbl.remove t.pending r.reqid;
       if r.status <> Status.Ok then record_error t r.status;
       (match p.result with
       | Some (buf, off) when r.status = Status.Ok ->

@@ -76,8 +76,8 @@ let serve amsg ~id (f : service) =
         let who = Atm.Addr.to_int src in
         let past = Option.value ~default:[] (Hashtbl.find_opt recent who) in
         let reply =
-          match List.assoc_opt req past with
-          | Some r -> r
+          match List.find_opt (fun (r, _) -> Int32.equal r req) past with
+          | Some (_, r) -> r
           | None ->
               let r =
                 f ~src
@@ -118,7 +118,8 @@ let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
     let iv = Sim.Ivar.create () in
     Hashtbl.replace ep.pending req iv;
     Amsg.send ep.amsg ~dst ~handler:id frame;
-    Sim.Proc.spawn ~after:timeout engine (fun () ->
+    (* A bare timer event: no process, so no fiber and no name. *)
+    Sim.Engine.schedule_after engine timeout (fun () ->
         ignore (Sim.Ivar.try_fill iv None));
     match Sim.Ivar.read iv with
     | Some reply ->

@@ -33,20 +33,25 @@ type waiter = {
   since : Time.t;
 }
 
+(* Waiter tokens and event sequence numbers key the engine's tables:
+   int-specialised, so a probe hashes and compares without [caml_hash]
+   or [compare_val]. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   mutable now : Time.t;
   queue : (unit -> unit) Heap.t;
   mutable seq : int;
   mutable stopped : bool;
   mutable scheduler : scheduler option;
-  waiting : (int, waiter) Hashtbl.t;
+  waiting : waiter Int_tbl.t;
   mutable next_token : int;
   mutable detect_deadlock : bool;
   mutable spawns : int;
   mutable fired : int; (* events executed since [create] *)
   mutable firing : int; (* seq of the event being fired, -1 outside [fire] *)
   mutable track_parents : bool;
-  parents : (int, int) Hashtbl.t; (* event seq -> scheduling event's seq *)
+  parents : int Int_tbl.t; (* event seq -> scheduling event's seq *)
 }
 
 let create () =
@@ -56,14 +61,14 @@ let create () =
     seq = 0;
     stopped = false;
     scheduler = None;
-    waiting = Hashtbl.create 16;
+    waiting = Int_tbl.create 16;
     next_token = 0;
     detect_deadlock = true;
     spawns = 0;
     fired = 0;
     firing = -1;
     track_parents = false;
-    parents = Hashtbl.create 64;
+    parents = Int_tbl.create 64;
   }
 
 let now t = t.now
@@ -76,7 +81,7 @@ let schedule_at t time thunk =
     invalid_arg "Engine.schedule_at: event in the past";
   Heap.push t.queue ~time ~seq:t.seq thunk;
   if t.track_parents && t.firing >= 0 then
-    Hashtbl.replace t.parents t.seq t.firing;
+    Int_tbl.replace t.parents t.seq t.firing;
   t.seq <- t.seq + 1
 
 let schedule_after t after thunk =
@@ -97,11 +102,11 @@ let next_spawn_id t =
 let register_blocked t ~process ?(kind = "") ~resource ~daemon () =
   let token = t.next_token in
   t.next_token <- token + 1;
-  Hashtbl.replace t.waiting token
+  Int_tbl.replace t.waiting token
     { process; kind; name = resource; daemon; since = t.now };
   token
 
-let clear_blocked t token = Hashtbl.remove t.waiting token
+let clear_blocked t token = Int_tbl.remove t.waiting token
 
 let describe_waiter (w : waiter) : blocked =
   {
@@ -113,9 +118,9 @@ let describe_waiter (w : waiter) : blocked =
   }
 
 let blocked ?(daemons = false) t =
-  Hashtbl.fold (fun token (w : waiter) acc -> (token, w) :: acc) t.waiting []
+  Int_tbl.fold (fun token (w : waiter) acc -> (token, w) :: acc) t.waiting []
   |> List.filter (fun (_, (w : waiter)) -> daemons || not w.daemon)
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map (fun (_, w) -> describe_waiter w)
 
 let describe_blocked (b : blocked) =
@@ -133,19 +138,19 @@ let set_deadlock_detection t on = t.detect_deadlock <- on
 
 (* ---------------- Stepping ---------------- *)
 
-let fire t (entry : (unit -> unit) Heap.entry) =
-  t.now <- entry.Heap.time;
+let fire t ~time ~seq thunk =
+  t.now <- time;
   t.fired <- t.fired + 1;
   let previous = t.firing in
-  t.firing <- entry.Heap.seq;
-  match entry.Heap.payload () with
+  t.firing <- seq;
+  match thunk () with
   | () -> t.firing <- previous
   | exception exn ->
       t.firing <- previous;
       raise exn
 
 let set_parent_tracking t on = t.track_parents <- on
-let parent t seq = Hashtbl.find_opt t.parents seq
+let parent t seq = Int_tbl.find_opt t.parents seq
 
 let next_enabled t =
   match Heap.entries_at_min t.queue with
@@ -164,7 +169,7 @@ let step_seq t seq =
       if not (List.exists (fun e -> e.Heap.seq = seq) entries) then
         invalid_arg "Engine.step_seq: event not enabled at the next instant";
       (match Heap.remove t.queue ~seq with
-      | Some entry -> fire t entry
+      | Some { Heap.time; seq; payload } -> fire t ~time ~seq payload
       | None -> assert false);
       true
 
@@ -173,7 +178,12 @@ let step t =
   | None ->
       if Heap.is_empty t.queue then false
       else begin
-        fire t (Heap.take t.queue);
+        (* The top event's key is read in place and its thunk taken
+           out, so firing builds no entry record. *)
+        let q = t.queue in
+        let time = Heap.min_time q in
+        let seq = Heap.min_seq q in
+        fire t ~time ~seq (Heap.take_payload q);
         true
       end
   | Some choose -> (
@@ -189,19 +199,16 @@ let step t =
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
 let has_nondaemon_blocked t =
-  Hashtbl.fold (fun _ (w : waiter) acc -> acc || not w.daemon) t.waiting false
+  Int_tbl.fold (fun _ (w : waiter) acc -> acc || not w.daemon) t.waiting false
 
 let run ?until t =
   t.stopped <- false;
-  let continue () =
+  let limit = match until with None -> max_int | Some limit -> limit in
+  while
     (not t.stopped)
     && (not (Heap.is_empty t.queue))
-    &&
-    match until with
-    | None -> true
-    | Some limit -> Time.((Heap.top t.queue).Heap.time <= limit)
-  in
-  while continue () do
+    && Heap.min_time t.queue <= limit
+  do
     ignore (step t : bool)
   done;
   match until with

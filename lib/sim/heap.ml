@@ -1,106 +1,176 @@
-(* Array-backed binary min-heap of timestamped events.
+(* Binary min-heap of timestamped events, laid out as struct-of-arrays.
 
    Ordering is by (time, seq): the sequence number is a monotonically
    increasing tie-breaker assigned by the engine so that events scheduled
    for the same instant fire in scheduling order, keeping runs
-   deterministic. *)
+   deterministic.
+
+   Layout.  Heap position [i] is described by three int arrays —
+   [times.(i)], [seqs.(i)] and [slots.(i)] — so sifting compares and
+   moves unboxed ints only.  A payload lives in [payloads.(slot)] and
+   never moves while its event is queued: pushing costs one pointer
+   store, popping none.  The free slots are kept in [slots] itself, at
+   positions [size .. used-1], so the heap and its free list are one
+   permutation of [0 .. used-1].  A freed slot keeps its old payload
+   reachable until the slot is reused, which bounds the retained
+   payloads by the queue's peak length.
+
+   Comparisons are written on [int]-annotated operands: an unannotated
+   helper would be polymorphic and compile to [compare_val]. *)
 
 type 'a entry = { time : Time.t; seq : int; payload : 'a }
 
-type 'a t = { mutable arr : 'a entry array; mutable size : int }
+type 'a t = {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable payloads : 'a array;
+  mutable size : int; (* queued events: heap positions [0 .. size-1] *)
+  mutable used : int; (* slots ever handed out: [size .. used-1] are free *)
+}
 
-let create () = { arr = [||]; size = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; size = 0; used = 0 }
 
 let length h = h.size
-
 let is_empty h = h.size = 0
 
-let entry_before a b =
-  match Time.compare a.time b.time with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+let[@inline] before (t1 : int) (s1 : int) (t2 : int) (s2 : int) =
+  t1 < t2 || (t1 = t2 && s1 < s2)
 
-let grow h entry =
-  let capacity = Array.length h.arr in
-  if h.size = capacity then begin
+(* Make room for one more slot; [payload] fills the fresh payload cells
+   (an ['a array] needs some value of type ['a]). *)
+let grow h payload =
+  let capacity = Array.length h.slots in
+  if h.used = capacity then begin
     let next = if capacity = 0 then 16 else capacity * 2 in
-    let arr = Array.make next entry in
-    Array.blit h.arr 0 arr 0 h.size;
-    h.arr <- arr
+    let extend arr fill =
+      let a = Array.make next fill in
+      Array.blit arr 0 a 0 capacity;
+      a
+    in
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.slots <- extend h.slots 0;
+    h.payloads <- extend h.payloads payload
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before h.arr.(i) h.arr.(parent) then begin
-      let tmp = h.arr.(i) in
-      h.arr.(i) <- h.arr.(parent);
-      h.arr.(parent) <- tmp;
-      sift_up h parent
+(* Place (time, seq, slot) at hole [i], moving it up past larger parents. *)
+let sift_up h i ~time ~seq ~slot =
+  let times = h.times and seqs = h.seqs and slots = h.slots in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if before time seq times.(p) seqs.(p) then begin
+      times.(!i) <- times.(p);
+      seqs.(!i) <- seqs.(p);
+      slots.(!i) <- slots.(p);
+      i := p
     end
-  end
+    else moving := false
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && entry_before h.arr.(left) h.arr.(!smallest) then
-    smallest := left;
-  if right < h.size && entry_before h.arr.(right) h.arr.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(!smallest);
-    h.arr.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+(* Place (time, seq, slot) at hole [i], moving it down past smaller
+   children. *)
+let sift_down h i ~time ~seq ~slot =
+  let times = h.times and seqs = h.seqs and slots = h.slots in
+  let size = h.size in
+  let i = ref i and settled = ref false in
+  while not !settled do
+    let left = (2 * !i) + 1 in
+    if left >= size then settled := true
+    else begin
+      let right = left + 1 in
+      let c =
+        if right < size && before times.(right) seqs.(right) times.(left) seqs.(left)
+        then right
+        else left
+      in
+      if before times.(c) seqs.(c) time seq then begin
+        times.(!i) <- times.(c);
+        seqs.(!i) <- seqs.(c);
+        slots.(!i) <- slots.(c);
+        i := c
+      end
+      else settled := true
+    end
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
 let push h ~time ~seq payload =
-  let entry = { time; seq; payload } in
-  grow h entry;
-  h.arr.(h.size) <- entry;
+  let slot =
+    if h.size < h.used then h.slots.(h.size)
+    else begin
+      grow h payload;
+      h.used <- h.used + 1;
+      h.size
+    end
+  in
+  h.payloads.(slot) <- payload;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) ~time ~seq ~slot
 
-let top h =
-  if h.size = 0 then invalid_arg "Heap.top: empty";
-  h.arr.(0)
+(* Delete heap position [i]: the last element refills the hole, and the
+   freed slot moves to the front of the free region. *)
+let delete_at h i =
+  let last = h.size - 1 in
+  let slot = h.slots.(i) in
+  let time = h.times.(last) and seq = h.seqs.(last) and moved = h.slots.(last) in
+  h.slots.(last) <- slot;
+  h.size <- last;
+  if i < last then begin
+    (* The replacement may belong either above or below its new slot. *)
+    if i > 0 && before time seq h.times.((i - 1) / 2) h.seqs.((i - 1) / 2) then
+      sift_up h i ~time ~seq ~slot:moved
+    else sift_down h i ~time ~seq ~slot:moved
+  end;
+  slot
+
+let check_nonempty h = if h.size = 0 then invalid_arg "Heap: empty"
+
+let min_time h =
+  check_nonempty h;
+  h.times.(0)
+
+let min_seq h =
+  check_nonempty h;
+  h.seqs.(0)
+
+let take_payload h =
+  check_nonempty h;
+  h.payloads.(delete_at h 0)
 
 let take h =
-  let top = top h in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.arr.(0) <- h.arr.(h.size);
-    sift_down h 0
-  end;
-  top
+  let time = min_time h in
+  let seq = h.seqs.(0) in
+  { time; seq; payload = take_payload h }
 
 let pop h = if h.size = 0 then None else Some (take h)
 
 let entries_at_min h =
   if h.size = 0 then []
   else begin
-    let time = (top h).time in
+    let time = h.times.(0) in
     let same = ref [] in
     for i = h.size - 1 downto 0 do
-      if Time.equal h.arr.(i).time time then same := h.arr.(i) :: !same
+      if h.times.(i) = time then
+        same :=
+          { time; seq = h.seqs.(i); payload = h.payloads.(h.slots.(i)) } :: !same
     done;
-    List.sort (fun a b -> Stdlib.compare a.seq b.seq) !same
+    List.sort (fun a b -> Int.compare a.seq b.seq) !same
   end
 
 let remove h ~seq =
-  let found = ref None in
-  for i = h.size - 1 downto 0 do
-    if h.arr.(i).seq = seq then found := Some i
-  done;
-  match !found with
-  | None -> None
-  | Some i ->
-      let entry = h.arr.(i) in
-      h.size <- h.size - 1;
-      if i < h.size then begin
-        h.arr.(i) <- h.arr.(h.size);
-        (* The replacement may belong either above or below its new slot. *)
-        sift_up h i;
-        sift_down h i
-      end;
-      Some entry
+  let rec find i =
+    if i = h.size then -1 else if h.seqs.(i) = seq then i else find (i + 1)
+  in
+  match find 0 with
+  | -1 -> None
+  | i ->
+      let time = h.times.(i) in
+      Some { time; seq; payload = h.payloads.(delete_at h i) }

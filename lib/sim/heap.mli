@@ -1,4 +1,6 @@
-(** Binary min-heap of timestamped events, ordered by [(time, seq)].
+(** Binary min-heap of timestamped events, ordered by [(time, seq)],
+    stored as parallel int arrays with payloads in fixed slots (see the
+    implementation's header for the layout).
 
     The sequence number breaks ties between events scheduled for the same
     instant so that same-time events fire in scheduling order, which keeps
@@ -17,12 +19,20 @@ val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 val pop : 'a t -> 'a entry option
 (** Remove and return the smallest entry. *)
 
-val top : 'a t -> 'a entry
-(** The smallest entry, left in place. Raises [Invalid_argument] when
-    empty. *)
-
 val take : 'a t -> 'a entry
 (** {!pop} without the option. Raises [Invalid_argument] when empty. *)
+
+(** {1 Allocation-free access to the smallest entry}
+
+    The engine's per-event path: read the smallest entry's key, then
+    remove it and get its payload, with no [entry] record built. Each
+    raises [Invalid_argument] when the heap is empty. *)
+
+val min_time : 'a t -> Time.t
+val min_seq : 'a t -> int
+
+val take_payload : 'a t -> 'a
+(** Remove the smallest entry and return its payload. *)
 
 val entries_at_min : 'a t -> 'a entry list
 (** Every entry sharing the smallest time, in ascending [seq] order —

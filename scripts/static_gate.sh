@@ -106,4 +106,17 @@ for dep in $dds_deps; do
   esac
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"
+# 10. The per-event core hashes no int key generically.  Firing an
+# event, routing a frame and dispatching it run through these modules;
+# a polymorphic table there probes with caml_hash and compare_val on
+# every frame.  Int keys use arrays or Hashtbl.Make (Int), so any use
+# of Hashtbl other than that functor is refused here.
+for f in lib/sim/engine.ml lib/sim/heap.ml lib/atm/switch.ml lib/atm/link.ml \
+  lib/cluster/node.ml lib/amsg/amsg.ml; do
+  [ -f "$f" ] || fail "event-core module $f is missing"
+  if sed 's/Hashtbl\.Make//g' "$f" | grep -n 'Hashtbl' >&2; then
+    fail "$f uses a generic Hashtbl on the per-event path — use an array or Hashtbl.Make (Int)"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, event core free of generic Hashtbl, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"

@@ -203,6 +203,53 @@ let rx_overflow_raises () =
        false
      with Atm.Nic.Rx_overflow _ | Atm.Link.Overflow _ -> true)
 
+(* A switch resolves a destination to its attached downlink when it
+   has one, whichever of port and route was added first. *)
+let switch_downlink_beats_route () =
+  let engine = Sim.Engine.create () in
+  let config = Atm.Config.default in
+  let check_order ~route_first =
+    let switch = Atm.Switch.create ~name:"s" engine config in
+    let peer = Atm.Switch.create ~name:"peer" engine config in
+    let trunk = Atm.Switch.trunk_to switch peer in
+    let nic = Atm.Nic.create config (Atm.Addr.of_int 2) in
+    if route_first then Atm.Switch.add_route switch ~dst:2 trunk;
+    Atm.Switch.attach_port switch nic;
+    if not route_first then Atm.Switch.add_route switch ~dst:2 trunk;
+    Atm.Switch.forward switch
+      (Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 2)
+         (Bytes.of_string "port"));
+    Sim.Engine.run engine;
+    let order = if route_first then "route first" else "port first" in
+    check_int (order ^ ": delivered on the port") 1 (Atm.Nic.frames_rx nic);
+    check_int (order ^ ": trunk unused") 0 (Atm.Link.frames_sent trunk);
+    check_int (order ^ ": nothing dropped") 0 (Atm.Switch.drops switch)
+  in
+  check_order ~route_first:true;
+  check_order ~route_first:false
+
+(* Destinations with no table entry — inside the table or past its
+   end — are dropped and counted, never fatal. *)
+let switch_drops_unrouted () =
+  let engine = Sim.Engine.create () in
+  let config = Atm.Config.default in
+  let switch = Atm.Switch.create engine config in
+  let peer = Atm.Switch.create ~name:"peer" engine config in
+  Atm.Switch.attach_port switch (Atm.Nic.create config (Atm.Addr.of_int 2));
+  Atm.Switch.add_route switch ~dst:5 (Atm.Switch.trunk_to switch peer);
+  List.iter
+    (fun dst ->
+      Atm.Switch.forward switch
+        (Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int dst)
+           (Bytes.of_string "lost")))
+    [ 3; 0; 1_000_000 ];
+  Sim.Engine.run engine;
+  check_int "dropped" 3 (Atm.Switch.drops switch);
+  check_int "none switched" 0 (Atm.Switch.frames_switched switch);
+  Alcotest.check_raises "negative route"
+    (Invalid_argument "Switch.add_route: negative destination") (fun () ->
+      Atm.Switch.add_route switch ~dst:(-1) (Atm.Switch.trunk_to switch peer))
+
 let addr_validation () =
   Alcotest.check_raises "negative" (Invalid_argument "Addr.of_int: negative address")
     (fun () -> ignore (Atm.Addr.of_int (-1)))
@@ -224,4 +271,8 @@ let suite =
     Alcotest.test_case "addr validation" `Quick addr_validation;
     QCheck_alcotest.to_alcotest aal_monotone;
     QCheck_alcotest.to_alcotest codec_roundtrip;
+    Alcotest.test_case "switch: downlink beats route, either order" `Quick
+      switch_downlink_beats_route;
+    Alcotest.test_case "switch: unrouted destinations dropped and counted"
+      `Quick switch_drops_unrouted;
   ]

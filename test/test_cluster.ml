@@ -154,6 +154,19 @@ let node_demux_and_crash () =
       Sim.Proc.wait (Sim.Time.ms 1);
       check_int "delivered after revival" 2 !received)
 
+(* A frame carrying an unclaimed tag stops the run with a message
+   naming the node and the tag; the wording is part of the contract. *)
+let node_unknown_tag_fails () =
+  let testbed = Cluster.Testbed.create ~nodes:2 () in
+  let node0 = Cluster.Testbed.node testbed 0 in
+  let node1 = Cluster.Testbed.node testbed 1 in
+  Alcotest.check_raises "unknown tag"
+    (Failure "node1: no protocol handler for tag 0x43") (fun () ->
+      Cluster.Testbed.run testbed (fun () ->
+          Cluster.Node.transmit node0 ~dst:(Cluster.Node.addr node1)
+            (Bytes.make 4 '\x43');
+          Sim.Proc.wait (Sim.Time.ms 1)))
+
 let costs_are_calibrated () =
   (* A sanity pin on the headline calibration constants. *)
   let c = Cluster.Costs.default in
@@ -176,4 +189,6 @@ let suite =
     Alcotest.test_case "node demux and crash" `Quick node_demux_and_crash;
     Alcotest.test_case "calibration constants pinned" `Quick costs_are_calibrated;
     QCheck_alcotest.to_alcotest space_roundtrip;
+    Alcotest.test_case "node unknown tag failure text" `Quick
+      node_unknown_tag_fails;
   ]

@@ -595,6 +595,25 @@ let fence_orders_writes () =
              (Bytes.make 4096 (Char.chr (97 + i))))
       done)
 
+(* Read-backs borrow a per-call scratch space that the node never
+   registers: a thousand fences, and verified writes and bursts, leave
+   the node's registered-space count where it was. *)
+let scratch_spaces_unregistered () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment ~len:65536 d in
+      let before = Cluster.Node.address_spaces d.Rig.node0 in
+      for _ = 1 to 1_000 do
+        Rmem.Remote_memory.fence d.Rig.rmem0 desc
+      done;
+      let policy = Rmem.Recovery.default in
+      Rmem.Remote_memory.write_with d.Rig.rmem0 ~policy desc ~off:0
+        (Bytes.make 64 'w');
+      Rmem.Remote_memory.write_burst_with d.Rig.rmem0 ~policy desc
+        [ (128, Bytes.make 32 'a'); (256, Bytes.make 32 'b') ];
+      check_int "registered spaces unchanged" before
+        (Cluster.Node.address_spaces d.Rig.node0))
+
 let stats_track_bytes () =
   let d = Rig.duo () in
   Rig.run d (fun () ->
@@ -644,4 +663,6 @@ let suite =
     QCheck_alcotest.to_alcotest wire_fuzz_random_bytes;
     QCheck_alcotest.to_alcotest wire_fuzz_damaged_frames;
     QCheck_alcotest.to_alcotest write_then_read_identity;
+    Alcotest.test_case "read-back scratch spaces are not registered" `Quick
+      scratch_spaces_unregistered;
   ]

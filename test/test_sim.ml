@@ -140,6 +140,99 @@ let heap_entries_at_min_and_remove () =
   Alcotest.(check (list int))
     "heap invariant survives removal" [ 1; 4; 0; 2 ] (drain [])
 
+(* The heap against a sorted-list model, under interleaved pushes,
+   takes, removals and min-set peeks.  Runs of up to 400 operations
+   grow the slot arrays past several capacities mid-sequence; every
+   payload is distinct, so an entry returned with another event's
+   payload (a slot-reuse bug) fails the comparison. *)
+type heap_op = Push of int | Take | Remove of int | At_min
+
+let heap_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun time -> Push time) (int_bound 40));
+          (2, return Take);
+          (1, map (fun seq -> Remove seq) (int_bound 400));
+          (1, return At_min);
+        ])
+  in
+  let ops =
+    QCheck.make
+      ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+      QCheck.Gen.(list_size (int_range 0 400) op)
+  in
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300 ops
+    (fun ops ->
+      let heap = Sim.Heap.create () in
+      let model = ref [] and next_seq = ref 0 in
+      let key (e : string Sim.Heap.entry) = (e.time, e.seq) in
+      let step = function
+        | Push time ->
+            let seq = !next_seq in
+            incr next_seq;
+            let e = { Sim.Heap.time; seq; payload = Printf.sprintf "%d@%d" seq time } in
+            Sim.Heap.push heap ~time ~seq e.payload;
+            model := List.merge (fun a b -> compare (key a) (key b)) [ e ] !model;
+            true
+        | Take -> (
+            match !model with
+            | [] -> (
+                match Sim.Heap.take heap with
+                | _ -> false
+                | exception Invalid_argument _ -> true)
+            | e :: rest ->
+                model := rest;
+                Sim.Heap.min_time heap = e.time
+                && Sim.Heap.min_seq heap = e.seq
+                && Sim.Heap.take heap = e)
+        | Remove seq ->
+            let expected = List.find_opt (fun (e : _ Sim.Heap.entry) -> e.seq = seq) !model in
+            model := List.filter (fun (e : _ Sim.Heap.entry) -> e.seq <> seq) !model;
+            Sim.Heap.remove heap ~seq = expected
+        | At_min ->
+            let expected =
+              match !model with
+              | [] -> []
+              | first :: _ ->
+                  List.filter (fun (e : _ Sim.Heap.entry) -> e.time = first.time) !model
+            in
+            Sim.Heap.entries_at_min heap = expected
+      in
+      List.for_all
+        (fun op -> step op && Sim.Heap.length heap = List.length !model)
+        ops)
+
+(* Firing an event allocates nothing: once the queue has grown to its
+   working size, 10,000 events of pre-allocated self-rescheduling
+   thunks cost a few words in total (the boxed float of the reading). *)
+let engine_fires_without_allocating () =
+  let engine = Sim.Engine.create () in
+  let remaining = ref 0 in
+  let rec tick () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Sim.Engine.schedule_after engine (Sim.Time.ns 3) tick
+    end
+  in
+  let burst events =
+    remaining := events;
+    for _ = 1 to 8 do
+      Sim.Engine.schedule_after engine Sim.Time.zero tick
+    done;
+    Sim.Engine.run engine
+  in
+  burst 10_000;
+  let fired = Sim.Engine.events_fired engine in
+  let before = Gc.minor_words () in
+  burst 10_000;
+  let words = Gc.minor_words () -. before in
+  check_int "events fired" 10_008 (Sim.Engine.events_fired engine - fired);
+  check_bool
+    (Printf.sprintf "%.0f minor words for 10,000 events (bound 64)" words)
+    true (words <= 64.)
+
 (* ---------------- Same-instant choice points ---------------- *)
 
 let engine_choice_points () =
@@ -543,4 +636,7 @@ let suite =
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest prng_bounds;
     QCheck_alcotest.to_alcotest prng_float_range;
+    QCheck_alcotest.to_alcotest heap_matches_model;
+    Alcotest.test_case "engine fires events without allocating" `Quick
+      engine_fires_without_allocating;
   ]
