@@ -22,7 +22,7 @@ val words_of_len : int -> int
 
 val checksum : bytes -> int
 (** The modeled AAL5 trailer CRC over a frame payload: a word-wise
-    multiplicative digest, one 63-bit multiply per 32-bit word. Any
-    change confined to a single 32-bit word of the payload (so any
-    single corrupted byte or flipped bit) changes it. Free in simulated
-    time. *)
+    multiplicative digest, one 63-bit multiply per 32-bit word, computed
+    in four independent lanes and then combined. Any change confined to
+    a single 32-bit word of the payload (so any single corrupted byte or
+    flipped bit) changes it. Free in simulated time. *)

@@ -52,7 +52,7 @@ let transfer t ~addr ~len buf ~pos ~store =
   let cursor = ref addr and done_ = ref 0 in
   while !done_ < len do
     let off = !cursor mod t.page_size in
-    let span = Stdlib.min (len - !done_) (t.page_size - off) in
+    let span = Int.min (len - !done_) (t.page_size - off) in
     let pg = page t (page_of t !cursor) in
     if store then Bytes.blit buf (pos + !done_) pg off span
     else Bytes.blit pg off buf (pos + !done_) span;
@@ -63,7 +63,7 @@ let transfer t ~addr ~len buf ~pos ~store =
 let read_into t ~addr ~len dst ~pos = transfer t ~addr ~len dst ~pos ~store:false
 
 let read t ~addr ~len =
-  let out = Bytes.create (Stdlib.max 0 len) in
+  let out = Bytes.create (Int.max 0 len) in
   read_into t ~addr ~len out ~pos:0;
   out
 
@@ -89,7 +89,7 @@ let cas_word t ~addr ~old_value ~new_value =
 
 let pin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   for index = first to last do
     let n = Option.value ~default:0 (Int_tbl.find_opt t.pin_counts index) in
     Int_tbl.replace t.pin_counts index (n + 1)
@@ -98,7 +98,7 @@ let pin t ~addr ~len =
 
 let unpin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   for index = first to last do
     match Int_tbl.find_opt t.pin_counts index with
     | None | Some 0 -> invalid_arg "Address_space.unpin: page not pinned"
@@ -108,7 +108,7 @@ let unpin t ~addr ~len =
 
 let is_pinned t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   let index = ref first in
   while
     !index <= last

@@ -453,7 +453,7 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
   else begin
     let rec send pos =
       if pos < count then begin
-        let chunk_len = Stdlib.min burst (count - pos) in
+        let chunk_len = Int.min burst (count - pos) in
         let last = pos + chunk_len >= count in
         send_chunk ~off:(off + pos) ~notify:(notify && last) ~pos
           ~len:chunk_len;
@@ -846,7 +846,7 @@ let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
   in
   let hi =
     List.fold_left
-      (fun acc (off, data) -> Stdlib.max acc (off + Bytes.length data))
+      (fun acc (off, data) -> Int.max acc (off + Bytes.length data))
       0 extents
   in
   let span = hi - lo in
@@ -965,7 +965,7 @@ let validate_segment t ~src ~seg ~gen ~off ~count op =
         not
           (Cluster.Address_space.is_pinned (Segment.space segment)
              ~addr:(Segment.base segment + off)
-             ~len:(Stdlib.max 1 count))
+             ~len:(Int.max 1 count))
       then Error Status.Unpinned
       else Ok segment
 
@@ -1231,7 +1231,7 @@ let handle_read t ~src (r : Wire.read_req) =
        else begin
          let rec send pos =
            if pos < r.count then begin
-             let chunk_len = Stdlib.min burst (r.count - pos) in
+             let chunk_len = Int.min burst (r.count - pos) in
              send_chunk ~pos ~chunk_len;
              send (pos + chunk_len)
            end

@@ -17,11 +17,16 @@
 let reply_id = 0xC7
 let header_bytes = 4
 
+(* Both tables hash an int key: a client's [pending] calls by request
+   id (an [int32] on the wire, keyed by the injective [Int32.to_int])
+   and a server's [recent] replies by source address. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type endpoint = {
   amsg : Amsg.t;
   node : Cluster.Node.t;
   mutable next_req : int;
-  pending : (int32, bytes option Sim.Ivar.t) Hashtbl.t;
+  pending : bytes option Sim.Ivar.t Int_tbl.t;
   mutable timeouts : int;
 }
 
@@ -39,17 +44,17 @@ let endpoint amsg =
           amsg;
           node = Amsg.node amsg;
           next_req = 1;
-          pending = Hashtbl.create 16;
+          pending = Int_tbl.create 16;
           timeouts = 0;
         }
       in
       Amsg.register amsg ~id:reply_id (fun ~src:_ body ->
           if Bytes.length body >= header_bytes then begin
-            let req = Bytes.get_int32_le body 0 in
-            match Hashtbl.find_opt ep.pending req with
+            let req = Int32.to_int (Bytes.get_int32_le body 0) in
+            match Int_tbl.find_opt ep.pending req with
             | None -> ()
             | Some iv ->
-                Hashtbl.remove ep.pending req;
+                Int_tbl.remove ep.pending req;
                 ignore
                   (Sim.Ivar.try_fill iv
                      (Some
@@ -69,14 +74,14 @@ type service = src:Atm.Addr.t -> bytes -> bytes
 let history_cap = 16
 
 let serve amsg ~id (f : service) =
-  let recent : (int, (int32 * bytes) list) Hashtbl.t = Hashtbl.create 16 in
+  let recent : (int * bytes) list Int_tbl.t = Int_tbl.create 16 in
   Amsg.register amsg ~id (fun ~src body ->
       if Bytes.length body >= header_bytes then begin
-        let req = Bytes.get_int32_le body 0 in
+        let req = Int32.to_int (Bytes.get_int32_le body 0) in
         let who = Atm.Addr.to_int src in
-        let past = Option.value ~default:[] (Hashtbl.find_opt recent who) in
+        let past = Option.value ~default:[] (Int_tbl.find_opt recent who) in
         let reply =
-          match List.find_opt (fun (r, _) -> Int32.equal r req) past with
+          match List.find_opt (fun (r, _) -> Int.equal r req) past with
           | Some (_, r) -> r
           | None ->
               let r =
@@ -90,11 +95,11 @@ let serve amsg ~id (f : service) =
                   List.filteri (fun i _ -> i < history_cap) keep
                 else keep
               in
-              Hashtbl.replace recent who keep;
+              Int_tbl.replace recent who keep;
               r
         in
         let frame = Bytes.create (header_bytes + Bytes.length reply) in
-        Bytes.set_int32_le frame 0 req;
+        Bytes.set_int32_le frame 0 (Int32.of_int req);
         Bytes.blit reply 0 frame header_bytes (Bytes.length reply);
         Amsg.send amsg ~dst:src ~handler:reply_id frame
       end)
@@ -104,26 +109,27 @@ let default_attempts = 12
 
 let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
     ~id body =
-  let req = Int32.of_int ep.next_req in
+  let wire_req = Int32.of_int ep.next_req in
+  let req = Int32.to_int wire_req in
   ep.next_req <- ep.next_req + 1;
   let frame = Bytes.create (header_bytes + Bytes.length body) in
-  Bytes.set_int32_le frame 0 req;
+  Bytes.set_int32_le frame 0 wire_req;
   Bytes.blit body 0 frame header_bytes (Bytes.length body);
   let engine = Cluster.Node.engine ep.node in
   let rec attempt k =
     if k >= attempts then begin
-      Hashtbl.remove ep.pending req;
+      Int_tbl.remove ep.pending req;
       raise Rmem.Status.Timeout
     end;
     let iv = Sim.Ivar.create () in
-    Hashtbl.replace ep.pending req iv;
+    Int_tbl.replace ep.pending req iv;
     Amsg.send ep.amsg ~dst ~handler:id frame;
     (* A bare timer event: no process, so no fiber and no name. *)
     Sim.Engine.schedule_after engine timeout (fun () ->
         ignore (Sim.Ivar.try_fill iv None));
     match Sim.Ivar.read iv with
     | Some reply ->
-        Hashtbl.remove ep.pending req;
+        Int_tbl.remove ep.pending req;
         reply
     | None ->
         ep.timeouts <- ep.timeouts + 1;

@@ -16,7 +16,11 @@
    payloads by the queue's peak length.
 
    Comparisons are written on [int]-annotated operands: an unannotated
-   helper would be polymorphic and compile to [compare_val]. *)
+   helper would be polymorphic and compile to [compare_val].  The
+   lexicographic order is one helper, [lt], that computes 0 or 1 with
+   no branch, so [sift_down] picks the smaller child as
+   [left + lt right left] instead of through a branch that a random
+   queue mispredicts half the time. *)
 
 type 'a entry = { time : Time.t; seq : int; payload : 'a }
 
@@ -35,8 +39,11 @@ let create () =
 let length h = h.size
 let is_empty h = h.size = 0
 
-let[@inline] before (t1 : int) (s1 : int) (t2 : int) (s2 : int) =
-  t1 < t2 || (t1 = t2 && s1 < s2)
+(* 1 when (t1, s1) sorts before (t2, s2), else 0.  The three
+   comparisons are evaluated as values and combined with [land]/[lor],
+   so the lexicographic order costs no branch of its own. *)
+let[@inline] lt (t1 : int) (s1 : int) (t2 : int) (s2 : int) =
+  Bool.to_int (t1 < t2) lor (Bool.to_int (t1 = t2) land Bool.to_int (s1 < s2))
 
 (* Make room for one more slot; [payload] fills the fresh payload cells
    (an ['a array] needs some value of type ['a]). *)
@@ -61,7 +68,7 @@ let sift_up h i ~time ~seq ~slot =
   let i = ref i and moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) / 2 in
-    if before time seq times.(p) seqs.(p) then begin
+    if lt time seq times.(p) seqs.(p) = 1 then begin
       times.(!i) <- times.(p);
       seqs.(!i) <- seqs.(p);
       slots.(!i) <- slots.(p);
@@ -74,7 +81,9 @@ let sift_up h i ~time ~seq ~slot =
   slots.(!i) <- slot
 
 (* Place (time, seq, slot) at hole [i], moving it down past smaller
-   children. *)
+   children.  The smaller child is [left + lt right left], picked
+   without a branch; only a lone left child (at most one per heap)
+   takes the other arm. *)
 let sift_down h i ~time ~seq ~slot =
   let times = h.times and seqs = h.seqs and slots = h.slots in
   let size = h.size in
@@ -85,11 +94,11 @@ let sift_down h i ~time ~seq ~slot =
     else begin
       let right = left + 1 in
       let c =
-        if right < size && before times.(right) seqs.(right) times.(left) seqs.(left)
-        then right
+        if right < size then
+          left + lt times.(right) seqs.(right) times.(left) seqs.(left)
         else left
       in
-      if before times.(c) seqs.(c) time seq then begin
+      if lt times.(c) seqs.(c) time seq = 1 then begin
         times.(!i) <- times.(c);
         seqs.(!i) <- seqs.(c);
         slots.(!i) <- slots.(c);
@@ -125,19 +134,23 @@ let delete_at h i =
   h.size <- last;
   if i < last then begin
     (* The replacement may belong either above or below its new slot. *)
-    if i > 0 && before time seq h.times.((i - 1) / 2) h.seqs.((i - 1) / 2) then
+    if i > 0 && lt time seq h.times.((i - 1) / 2) h.seqs.((i - 1) / 2) = 1 then
       sift_up h i ~time ~seq ~slot:moved
     else sift_down h i ~time ~seq ~slot:moved
   end;
   slot
 
-let check_nonempty h = if h.size = 0 then invalid_arg "Heap: empty"
+(* The engine reads the key through these on every event.  A
+   bounds-checked load behind an emptiness check is over ocamlopt's
+   default inlining size, so they carry [@inline] to be inlined across
+   the module boundary. *)
+let[@inline] check_nonempty h = if h.size = 0 then invalid_arg "Heap: empty"
 
-let min_time h =
+let[@inline] min_time h =
   check_nonempty h;
   h.times.(0)
 
-let min_seq h =
+let[@inline] min_seq h =
   check_nonempty h;
   h.seqs.(0)
 

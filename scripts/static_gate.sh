@@ -112,11 +112,25 @@ done
 # every frame.  Int keys use arrays or Hashtbl.Make (Int), so any use
 # of Hashtbl other than that functor is refused here.
 for f in lib/sim/engine.ml lib/sim/heap.ml lib/atm/switch.ml lib/atm/link.ml \
-  lib/cluster/node.ml lib/amsg/amsg.ml; do
+  lib/cluster/node.ml lib/amsg/amsg.ml lib/dds/call.ml; do
   [ -f "$f" ] || fail "event-core module $f is missing"
   if sed 's/Hashtbl\.Make//g' "$f" | grep -n 'Hashtbl' >&2; then
     fail "$f uses a generic Hashtbl on the per-event path — use an array or Hashtbl.Make (Int)"
   fi
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, event core free of generic Hashtbl, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"
+# 11. The build compiles for speed under the same type discipline.  The
+# root dune-workspace pins the release profile: dune's dev profile
+# compiles libraries with -opaque, which turns every cross-module
+# accessor on the per-frame path into a real call.  Release's :standard
+# flags lack -strict-sequence and -strict-formats, so the root env must
+# name both.  Comment lines are ignored: only a live stanza counts.
+[ -f dune-workspace ] || fail "root dune-workspace is missing"
+grep -v '^[[:space:]]*;' dune-workspace | grep -Eq '\(profile[[:space:]]+release\)' ||
+  fail "dune-workspace no longer pins (profile release)"
+for flag in -strict-sequence -strict-formats; do
+  grep -v '^[[:space:]]*;' dune | grep -q -- "$flag" ||
+    fail "root dune env no longer carries '$flag'"
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, event core free of generic Hashtbl, release profile pinned with strict flags, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"

@@ -21,10 +21,13 @@ let aal_monotone =
       Atm.Aal.cells_of_len len <= Atm.Aal.cells_of_len (len + extra))
 
 (* Every single-bit flip and every single-byte substitution, at every
-   position, must fail the receiving NIC's check.  The lengths cover
-   every tail that is not a multiple of 4 words, plus one multi-cell
-   frame.  The damage is applied to the frame's own payload (which the
-   fault plane never does: it copies) and undone after each check. *)
+   position, must fail the receiving NIC's check.  The lengths 0-40
+   cover zero, one and two 16-byte lane groups of the four-lane digest,
+   with every count of leftover words (0-3) and tail bytes (0-3) after
+   zero and after one group; 328 is one 8-cell WRITE frame and 4099 a
+   multi-cell frame with a tail.  The
+   damage is applied to the frame's own payload (which the fault plane
+   never does: it copies) and undone after each check. *)
 let checksum_catches_single_byte_damage () =
   let prng = Sim.Prng.create 17 in
   let src = Atm.Addr.of_int 1 and dst = Atm.Addr.of_int 2 in
@@ -56,10 +59,37 @@ let checksum_catches_single_byte_damage () =
       Alcotest.(check bool)
         "corrupted copy rejected" false
         (Atm.Frame.intact (Atm.Frame.corrupted ~byte:len frame)))
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 4099 ];
+    (List.init 41 Fun.id @ [ 328; 4099 ]);
   check_int "every damaged frame rejected"
-    ((8 + 255) * (45 + 4099))
+    ((8 + 255) * (820 + 328 + 4099))
     !rejected
+
+(* Any nonzero XOR mask confined to one 32-bit word of the payload —
+   a whole word, or the bytes present in a short tail word — changes
+   the digest, whichever lane the word feeds. *)
+let checksum_catches_word_damage =
+  let case =
+    QCheck.Gen.(
+      int_range 1 512 >>= fun len ->
+      int_bound ((len - 1) / 4) >>= fun word ->
+      let present = min 4 (len - (4 * word)) in
+      int_range 1 ((1 lsl (8 * present)) - 1) >>= fun mask ->
+      map (fun payload -> (payload, word, mask)) (bytes_size (return len)))
+  in
+  QCheck.Test.make ~name:"a change confined to one 32-bit word changes the digest"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (payload, word, mask) ->
+         Printf.sprintf "len %d, word %d, mask %#x" (Bytes.length payload) word mask)
+       case)
+    (fun (payload, word, mask) ->
+      let before = Atm.Aal.checksum payload in
+      let damaged = Bytes.copy payload in
+      for k = 0 to 3 do
+        let i = (4 * word) + k and m = (mask lsr (8 * k)) land 0xFF in
+        if m <> 0 then Bytes.set_uint8 damaged i (Bytes.get_uint8 damaged i lxor m)
+      done;
+      Atm.Aal.checksum damaged <> before)
 
 (* ---------------- Codec ---------------- *)
 
@@ -275,4 +305,5 @@ let suite =
       switch_downlink_beats_route;
     Alcotest.test_case "switch: unrouted destinations dropped and counted"
       `Quick switch_drops_unrouted;
+    QCheck_alcotest.to_alcotest checksum_catches_word_damage;
   ]
