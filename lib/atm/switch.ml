@@ -57,7 +57,7 @@ let set table index link =
   let table =
     if index < Array.length table then table
     else begin
-      let size = Stdlib.max (index + 1) (2 * Array.length table) in
+      let size = Int.max (index + 1) (2 * Array.length table) in
       let grown = Array.make size None in
       Array.blit table 0 grown 0 (Array.length table);
       grown

@@ -108,6 +108,8 @@ val register_blocked :
     The description is formatted only when {!blocked} is called. *)
 
 val clear_blocked : t -> int -> unit
+(** Forget the waiter a token names. A token already cleared is ignored,
+    even after its registry slot has gone to a newer waiter. *)
 
 val blocked : ?daemons:bool -> t -> blocked list
 (** Currently blocked waiters in registration order; [daemons] includes

@@ -1,6 +1,11 @@
-(** Binary min-heap of timestamped events, ordered by [(time, seq)],
-    stored as parallel int arrays with payloads in fixed slots (see the
-    implementation's header for the layout).
+(** Event queue of timestamped events, ordered by [(time, seq)]: parallel
+    int arrays kept sorted with the next event last, and payloads in
+    fixed slots (see the implementation's header for the layout).
+
+    Taking the next event is O(1). Pushing is O(k), where k is the
+    number of queued events due before the new one; the simulator's new
+    events are nearly always due before almost everything queued, so k
+    stays small.
 
     The sequence number breaks ties between events scheduled for the same
     instant so that same-time events fire in scheduling order, which keeps
@@ -26,7 +31,7 @@ val take : 'a t -> 'a entry
 
     The engine's per-event path: read the smallest entry's key, then
     remove it and get its payload, with no [entry] record built. Each
-    raises [Invalid_argument] when the heap is empty. *)
+    raises [Invalid_argument] when the queue is empty. *)
 
 val min_time : 'a t -> Time.t
 val min_seq : 'a t -> int
@@ -40,4 +45,4 @@ val entries_at_min : 'a t -> 'a entry list
 
 val remove : 'a t -> seq:int -> 'a entry option
 (** Remove the entry carrying [seq] (sequence numbers are unique per
-    engine), restoring the heap invariant. [None] if absent. *)
+    engine), keeping the rest in order. [None] if absent. *)

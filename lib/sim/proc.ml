@@ -5,10 +5,11 @@
    engine's event queue.  Continuations are one-shot: [suspend]'s resume
    callback guards against double resumption.
 
-   Every process carries a name and knows its engine (the [Info]
-   effect); [suspend_on] uses both to register the blocked process with
-   the engine's waiter registry, which is what makes engine-level
-   deadlock reports name processes and resources. *)
+   Every process carries a name and knows its engine.  [suspend_on] is
+   one effect whose handler, which holds both, registers the blocked
+   process with the engine's waiter registry: that is what makes
+   engine-level deadlock reports name processes and resources.  The
+   [Info] effect hands the name to [self_name]. *)
 
 open Effect
 open Effect.Deep
@@ -16,7 +17,14 @@ open Effect.Deep
 type _ Effect.t +=
   | Wait : Time.t -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Info : (Engine.t * string) Effect.t
+  | Suspend_on : {
+      daemon : bool;
+      kind : string option;
+      resource : string;
+      register : ('a -> unit) -> unit;
+    }
+      -> 'a Effect.t
+  | Info : string Effect.t
 
 exception Not_in_process
 
@@ -28,20 +36,21 @@ let suspend register = perform (Suspend register)
 
 let self_name () =
   match perform Info with
-  | _, name -> name
+  | name -> name
   | exception Effect.Unhandled _ -> raise Not_in_process
 
 let suspend_on ?(daemon = false) ?kind ~resource register =
-  match perform Info with
-  | exception Effect.Unhandled _ -> suspend register
-  | engine, process ->
-      let token =
-        Engine.register_blocked engine ~process ?kind ~resource ~daemon ()
-      in
-      suspend (fun resume ->
-          register (fun v ->
-              Engine.clear_blocked engine token;
-              resume v))
+  perform (Suspend_on { daemon; kind; resource; register })
+
+(* The one-shot resume function handed out for a suspension.  A
+   non-negative [token] is the waiter registration it clears. *)
+let resume_once engine k ~token =
+  let resumed = ref false in
+  fun v ->
+    if !resumed then invalid_arg "Proc: continuation resumed twice";
+    resumed := true;
+    if token >= 0 then Engine.clear_blocked engine token;
+    Engine.schedule_after engine Time.zero (fun () -> continue k v)
 
 let spawn ?(after = Time.zero) ?name engine body =
   let name =
@@ -49,7 +58,6 @@ let spawn ?(after = Time.zero) ?name engine body =
     | Some name -> name
     | None -> Printf.sprintf "proc%d" (Engine.next_spawn_id engine)
   in
-  let info = (engine, name) in
   let run () =
     match_with body ()
       {
@@ -66,16 +74,17 @@ let spawn ?(after = Time.zero) ?name engine body =
             | Suspend register ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    let resumed = ref false in
-                    let resume v =
-                      if !resumed then
-                        invalid_arg "Proc: continuation resumed twice";
-                      resumed := true;
-                      Engine.schedule engine (fun () -> continue k v)
+                    register (resume_once engine k ~token:(-1)))
+            | Suspend_on { daemon; kind; resource; register } ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    let token =
+                      Engine.register_blocked engine ~process:name ?kind
+                        ~resource ~daemon ()
                     in
-                    register resume)
+                    register (resume_once engine k ~token))
             | Info ->
-                Some (fun (k : (a, unit) continuation) -> continue k info)
+                Some (fun (k : (a, unit) continuation) -> continue k name)
             | _ -> None);
       }
   in

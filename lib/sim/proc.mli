@@ -38,8 +38,8 @@ val suspend_on :
     With [kind] (["ivar"], ["mailbox"], ...) the waiter is described as
     [kind "resource"], formatted only when a report asks for it.
     [daemon] marks waits that idle between requests by design (a server
-    loop) and never count as deadlocked. Outside a process it degrades
-    to {!suspend}. *)
+    loop) and never count as deadlocked. Outside a process it raises
+    [Effect.Unhandled], as {!suspend} does. *)
 
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence

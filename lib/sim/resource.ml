@@ -29,7 +29,7 @@ let acquire t =
     t.contended <- t.contended + 1;
     Proc.suspend_on
       ~kind:"resource" ~resource:t.name
-      (fun resume -> Queue.push (fun () -> resume ()) t.waiters)
+      (fun resume -> Queue.push resume t.waiters)
   end
 
 let release t =

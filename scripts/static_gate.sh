@@ -133,4 +133,44 @@ for flag in -strict-sequence -strict-formats; do
     fail "root dune env no longer carries '$flag'"
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, event core free of generic Hashtbl, release profile pinned with strict flags, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"
+# 12. The simulator core compares ints monomorphically.  Stdlib's
+# compare, min and max are polymorphic functions: on ints they still
+# call compare_val.  In lib/sim and lib/atm, use Int.compare/min/max
+# (or a module's own monomorphic ones, such as Sim.Time.max).  Comments
+# and string literals are blanked first; a definition of a module's own
+# [compare]/[min]/[max] ([let max = Int.max]) is allowed.
+strip_comments() {
+  awk '
+    BEGIN { depth = 0; instr = 0 }
+    {
+      line = $0; out = ""; n = length(line); i = 1
+      while (i <= n) {
+        c = substr(line, i, 1); d = substr(line, i, 2)
+        if (instr) {
+          if (c == "\\") { out = out "  "; i += 2; continue }
+          if (c == "\"") instr = 0
+          out = out " "; i++; continue
+        }
+        if (d == "(*") { depth++; out = out "  "; i += 2; continue }
+        if (depth > 0 && d == "*)") { depth--; out = out "  "; i += 2; continue }
+        if (c == "\"") { instr = 1; out = out " "; i++; continue }
+        if (depth > 0) { out = out " "; i++; continue }
+        if (c == "\047" && substr(line, i + 2, 1) == "\047") { out = out "   "; i += 3; continue }
+        if (c == "\047" && substr(line, i + 1, 1) == "\\") {
+          j = index(substr(line, i + 2), "\047")
+          if (j > 0) { out = out sprintf("%*s", j + 2, ""); i += j + 2; continue }
+        }
+        out = out c; i++
+      }
+      print out
+    }' "$1"
+}
+for f in $(find lib/sim lib/atm -name '*.ml'); do
+  if strip_comments "$f" |
+    sed -E 's/\b(let|val)[[:space:]]+(rec[[:space:]]+)?(compare|min|max)\b//g' |
+    grep -nE "Stdlib\.(compare|min|max)\b|(^|[^A-Za-z0-9_.'~?])(compare|min|max)([^A-Za-z0-9_']|\$)" >&2; then
+    fail "$f uses a polymorphic compare/min/max — use Int.compare/min/max"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, event core free of generic Hashtbl, release profile pinned with strict flags, sim/atm free of polymorphic compare/min/max, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"
