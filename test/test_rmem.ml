@@ -632,6 +632,262 @@ let stats_track_bytes () =
            (Rmem.Remote_memory.data_bytes d.Rig.rmem1)
            "write served"))
 
+(* ---------------- WRITE characterization ---------------- *)
+
+(* Everything observable about one WRITE or WRITE burst, issued from a
+   quiet node 0 into a segment on node 1 (in the server role) and run to
+   quiescence, as one line: the instant the issue call returns, each
+   node's CPU per category, the monitor's issue/serve sequence with its
+   instants, the delivery probe's calls, the notification records, the
+   byte accounts, a digest of the destination memory and the span tree
+   (root phases in clear, every span's name, parent and interval in the
+   digest).  The expected lines were recorded from the implementation
+   with separate single and burst WRITE paths; any change to what a
+   WRITE costs, when it lands or how it is traced shows up here. *)
+
+type write_shape =
+  | Single of { off : int; len : int }
+  | Burst of (int * int) list (* (off, len) extents, in issue order *)
+
+let shape_name = function
+  | Single { len; _ } -> Printf.sprintf "write %d" len
+  | Burst extents -> Printf.sprintf "burst x%d" (List.length extents)
+
+let fill ~salt len = Bytes.init len (fun i -> Char.chr ((i * 7 + salt) land 0xFF))
+
+let characterize ?(inhibit = false) ~notify ~swab ~crypto shape =
+  let d = Rig.duo () in
+  Rmem.Remote_memory.set_server_role d.Rig.rmem1;
+  if crypto then begin
+    Rmem.Remote_memory.set_crypto d.Rig.rmem0 (Some Rmem.Crypto.software_des);
+    Rmem.Remote_memory.set_crypto d.Rig.rmem1 (Some Rmem.Crypto.software_des)
+  end;
+  let ns () = Sim.Time.to_ns (Sim.Engine.now d.Rig.engine) in
+  let log = Buffer.create 256 in
+  let note fmt = Printf.bprintf log fmt in
+  let monitor node event =
+    match (event : Rmem.Remote_memory.monitor_event) with
+    | Issued { off; count; notify; _ } ->
+        note " I%d@%d:%d+%d%s" node (ns ()) off count (if notify then "n" else "")
+    | Served { off; count; notified; _ } ->
+        note " S%d@%d:%d+%d%s" node (ns ()) off count (if notified then "n" else "")
+    | Serve_rejected { off; count; status; _ } ->
+        note " R%d@%d:%d+%d:%s" node (ns ()) off count
+          (Rmem.Status.to_string status)
+    | Nacked { nack; _ } ->
+        note " N%d@%d:%d+%d" node (ns ()) nack.Rmem.Wire.off nack.Rmem.Wire.count
+    | Exported _ | Issue_rejected _ | Completed _ -> ()
+  in
+  Rmem.Remote_memory.set_monitor d.Rig.rmem0 (Some (monitor 0));
+  Rmem.Remote_memory.set_monitor d.Rig.rmem1 (Some (monitor 1));
+  let probes = Buffer.create 16 in
+  Rmem.Remote_memory.set_delivery_probe d.Rig.rmem1
+    (Some (fun _ ~count -> Printf.bprintf probes " %d@%d" count (ns ())));
+  let trace = Obs.Trace.create d.Rig.engine in
+  let returned = ref 0 in
+  let segment = ref None in
+  Obs.Trace.attach trace;
+  Fun.protect ~finally:Obs.Trace.detach (fun () ->
+      Rig.run d (fun () ->
+          let seg, desc = Rig.shared_segment ~len:8192 d in
+          segment := Some seg;
+          if inhibit then Rmem.Segment.set_write_inhibit seg true;
+          List.iter
+            (fun n -> Cluster.Cpu.reset_accounting (Cluster.Node.cpu n))
+            [ d.Rig.node0; d.Rig.node1 ];
+          Buffer.clear log;
+          let t0 = ns () in
+          (match shape with
+          | Single { off; len } ->
+              Rmem.Remote_memory.write d.Rig.rmem0 desc ~off ~notify ~swab
+                (fill ~salt:off len)
+          | Burst extents ->
+              Rmem.Remote_memory.write_burst d.Rig.rmem0 desc ~notify ~swab
+                (List.map (fun (off, len) -> (off, fill ~salt:off len)) extents));
+          returned := ns () - t0));
+  Obs.Trace.finalize trace;
+  let seg = Option.get !segment in
+  let fd = Rmem.Segment.notification seg in
+  let records = Buffer.create 16 in
+  let rec drain () =
+    match Rmem.Notification.try_read fd with
+    | None -> ()
+    | Some r ->
+        Printf.bprintf records " %d+%d" r.Rmem.Notification.off
+          r.Rmem.Notification.count;
+        drain ()
+  in
+  drain ();
+  let account a =
+    String.concat ","
+      (List.map
+         (fun (c, v) -> Printf.sprintf "%s=%.3f" c v)
+         (Metrics.Account.to_list a))
+  in
+  let cpu n = account (Cluster.Cpu.account (Cluster.Node.cpu n)) in
+  let spans =
+    String.concat ";"
+      (List.map
+         (fun (s : Obs.Span.t) ->
+           Printf.sprintf "%d/%d/%d %s %s n%d %d-%d" s.Obs.Span.id
+             s.Obs.Span.trace s.Obs.Span.parent s.Obs.Span.name s.Obs.Span.cat
+             s.Obs.Span.node (Sim.Time.to_ns s.Obs.Span.start)
+             (Sim.Time.to_ns s.Obs.Span.finish))
+         (Obs.Trace.spans trace))
+  in
+  let roots =
+    String.concat ";"
+      (List.map
+         (fun (r : Obs.Span.t) ->
+           r.Obs.Span.name ^ "["
+           ^ String.concat ","
+               (List.map
+                  (fun (p, us) -> Printf.sprintf "%s=%.3f" p us)
+                  (Obs.Trace.phase_totals trace r))
+           ^ "]")
+         (Obs.Trace.roots trace))
+  in
+  Printf.sprintf
+    "%s%s%s%s%s | ret %d | cpu0 %s | cpu1 %s |%s | probe%s | notif %d%s | ops %s | bytes %s / %s | mem %s | trace %s %s"
+    (shape_name shape)
+    (if notify then " notify" else "")
+    (if swab then " swab" else "")
+    (if crypto then " crypto" else "")
+    (if inhibit then " inhibited" else "")
+    !returned (cpu d.Rig.node0) (cpu d.Rig.node1) (Buffer.contents log)
+    (Buffer.contents probes)
+    (Rmem.Notification.posted fd)
+    (Buffer.contents records)
+    (account (Rmem.Remote_memory.ops d.Rig.rmem0))
+    (account (Rmem.Remote_memory.data_bytes d.Rig.rmem0))
+    (account (Rmem.Remote_memory.data_bytes d.Rig.rmem1))
+    (Digest.to_hex
+       (Digest.bytes (Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len:8192)))
+    roots
+    (Digest.to_hex (Digest.string spans))
+
+let write_shapes =
+  let chunk = 8 * Rmem.Wire.data_bytes_per_cell in
+  List.map
+    (fun len -> Single { off = 12; len })
+    [ 0; 1; 40; 41; chunk; chunk + 1; 4096 ]
+  @ [ Burst [ (100, 200) ]; Burst [ (2000, 300); (64, 41); (1000, 500) ] ]
+
+let write_cases =
+  List.concat_map
+    (fun shape ->
+      List.concat_map
+        (fun crypto ->
+          List.concat_map
+            (fun swab ->
+              List.map
+                (fun notify () -> characterize ~notify ~swab ~crypto shape)
+                [ false; true ])
+            [ false; true ])
+        [ false; true ])
+    write_shapes
+  @ [
+      (fun () ->
+        characterize ~inhibit:true ~notify:true ~swab:false ~crypto:false
+          (Single { off = 12; len = 41 }));
+      (fun () ->
+        characterize ~inhibit:true ~notify:true ~swab:false ~crypto:false
+          (Burst [ (2000, 300); (64, 41); (1000, 500) ]));
+    ]
+
+(* Recorded lines, one per case in [write_cases] order. *)
+let write_expected () =
+  In_channel.with_open_text "rmem_write.expected" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> line <> "")
+
+let write_characterization () =
+  let expected = write_expected () in
+  check_int "recorded cases" (List.length write_cases) (List.length expected);
+  List.iteri
+    (fun i (case, line) ->
+      Alcotest.(check string) (Printf.sprintf "case %d" i) line (case ()))
+    (List.combine write_cases expected)
+
+(* ---------------- Burst rejection ---------------- *)
+
+(* Issue [issue] against a segment of [len] bytes on node 1 through a
+   descriptor claiming [size] bytes and generation [gen_skew] past the
+   real one (so remote-only failures get past the local check), run to
+   quiescence, and return the nacks node 0 received, the failure
+   [take_write_failure] reports and whether any byte landed. *)
+let rejected_write ?(len = 4096) ?(size = 65536) ?(gen_skew = 0)
+    ?(inhibit = false) issue =
+  let d = Rig.duo () in
+  let nacks = ref [] in
+  Rmem.Remote_memory.set_monitor d.Rig.rmem0
+    (Some
+       (function
+       | Rmem.Remote_memory.Nacked { nack; _ } -> nacks := nack :: !nacks
+       | _ -> ()));
+  let failure = ref None in
+  Rig.run d (fun () ->
+      let segment =
+        Rmem.Remote_memory.export d.Rig.rmem1 ~space:d.Rig.space1 ~base:0 ~len
+          ~rights:Rmem.Rights.all ~name:"reject" ()
+      in
+      if inhibit then Rmem.Segment.set_write_inhibit segment true;
+      let generation = ref (Rmem.Segment.generation segment) in
+      for _ = 1 to gen_skew do
+        generation := Rmem.Generation.next !generation
+      done;
+      let desc =
+        Rmem.Remote_memory.import d.Rig.rmem0
+          ~remote:(Cluster.Node.addr d.Rig.node1)
+          ~segment_id:(Rmem.Segment.id segment) ~generation:!generation ~size
+          ~rights:Rmem.Rights.all ()
+      in
+      issue d desc;
+      Sim.Proc.wait (Sim.Time.ms 5);
+      failure := Rmem.Remote_memory.take_write_failure d.Rig.rmem0 desc);
+  let untouched =
+    Bytes.equal (Bytes.make len '\000')
+      (Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len)
+  in
+  (List.rev !nacks, !failure, untouched)
+
+let three_extents = [ (64, 41); (5000, 100); (1000, 500) ]
+
+let burst_of extents d desc =
+  Rmem.Remote_memory.write_burst d.Rig.rmem0 desc ~notify:true
+    (List.map (fun (off, len) -> (off, Bytes.make len 'b')) extents)
+
+let check_rejection ~what ~status ~off ~count (nacks, failure, untouched) =
+  check_bool (what ^ ": nothing deposited") true untouched;
+  match nacks with
+  | [ (n : Rmem.Wire.write_nack) ] ->
+      check_bool (what ^ ": nack status") true (n.status = status);
+      check_int (what ^ ": nack off") off n.off;
+      check_int (what ^ ": nack count") count n.count;
+      check_bool (what ^ ": take_write_failure") true (failure = Some status)
+  | _ -> Alcotest.failf "%s: %d nacks, expected exactly one" what (List.length nacks)
+
+let burst_rejections () =
+  (* The second extent runs past the 4 KB segment: the burst is refused
+     whole, and the one nack names that extent. *)
+  check_rejection ~what:"bounds" ~status:Rmem.Status.Bounds ~off:5000
+    ~count:100
+    (rejected_write (burst_of three_extents));
+  let in_bounds = [ (64, 41); (2000, 100); (1000, 500) ] in
+  check_rejection ~what:"write inhibit" ~status:Rmem.Status.Write_inhibited
+    ~off:64 ~count:41
+    (rejected_write ~inhibit:true (burst_of in_bounds));
+  check_rejection ~what:"stale generation" ~status:Rmem.Status.Stale_generation
+    ~off:64 ~count:41
+    (rejected_write ~gen_skew:1 (burst_of in_bounds));
+  (* A zero-length doorbell is still a WRITE: refused, it nacks with a
+     zero count. *)
+  check_rejection ~what:"stale doorbell" ~status:Rmem.Status.Stale_generation
+    ~off:128 ~count:0
+    (rejected_write ~gen_skew:1 (fun d desc ->
+         Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:128 ~notify:true
+           Bytes.empty))
+
 let suite =
   [
     Alcotest.test_case "wire write header is 8 bytes" `Quick wire_write_header_size;
@@ -667,4 +923,8 @@ let suite =
     QCheck_alcotest.to_alcotest write_then_read_identity;
     Alcotest.test_case "read-back scratch spaces are not registered" `Quick
       scratch_spaces_unregistered;
+    Alcotest.test_case "write and burst characterization" `Quick
+      write_characterization;
+    Alcotest.test_case "burst rejections nack once, deposit nothing" `Quick
+      burst_rejections;
   ]
