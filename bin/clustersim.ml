@@ -4,7 +4,8 @@
    count, transfer scheme, operation count and seed; get client latency
    and the server's CPU breakdown.  --json emits the same numbers as a
    self-validated object; --ci sanity-asserts them (positive latency,
-   utilization within [0,1]) and exits 1 on violation. *)
+   utilization within [0,1]) and exits 1 on violation.  A client count
+   the server's request segment cannot hold exits 2. *)
 
 open Cmdliner
 module J = Analysis.Report.Json
@@ -32,7 +33,19 @@ type stats = {
   breakdown : (string * float) list;
 }
 
+(* The server's request segment has one slot per client, indexed by the
+   client's node address; the server is node 0, so the last slot goes
+   unused. *)
+let max_clients = Dfs.Layout.max_clients - 1
+
 let run clients scheme ops seed json ci =
+  if clients < 1 || clients > max_clients then begin
+    Printf.eprintf
+      "clustersim: --clients %d out of range: the server's request segment \
+       has slots for 1 to %d clients\n"
+      clients max_clients;
+    exit 2
+  end;
   let fixture = Experiments.Fixture.create ~clients ~seed () in
   let latencies = Metrics.Summary.create () in
   let stats = ref None in
@@ -153,7 +166,12 @@ let run clients scheme ops seed json ci =
 
 let main =
   let clients =
-    Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N" ~doc:"Client machines.")
+    Arg.(
+      value & opt int 2
+      & info [ "clients" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf "Client machines, 1 to %d; others exit 2."
+               max_clients))
   in
   let scheme =
     Arg.(

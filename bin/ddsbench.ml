@@ -15,7 +15,8 @@
    mutation-heavy leg — for at least two of the three structures.  A
    sweep restricted to a single --structure therefore cannot clear the
    gate: that is the deterministic forced-miss leg of @exitcodes.
-   Unknown --structure names exit 2. *)
+   Unknown --structure names exit 2, as do leg sizes the fabric or the
+   register's writer tags cannot hold. *)
 
 open Cmdliner
 
@@ -32,6 +33,34 @@ let main smoke structure spines leaves hosts_per_leaf low_clients high_clients
           exit 2
         end
   in
+  (* --smoke runs a fixed configuration, so only a custom sweep's leg
+     sizes need checking. *)
+  if not smoke then begin
+    let refuse fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "ddsbench: %s\n" msg;
+          exit 2)
+        fmt
+    in
+    let register =
+      match structures with None -> true | Some l -> List.mem "register" l
+    in
+    (* Register writer ranks start at 1 and a tag packs Dds.Tag.ranks. *)
+    let max_writers = Dds.Tag.ranks - 1 in
+    let hosts = leaves * hosts_per_leaf in
+    List.iter
+      (fun (flag, n) ->
+        if register && n > max_writers then
+          refuse
+            "--%s %d: the register takes at most %d clients per leg (its \
+             tags pack %d writer ranks, numbered from 1)"
+            flag n max_writers Dds.Tag.ranks;
+        if 3 + n > hosts then
+          refuse "--%s %d: a %d-host fabric holds at most %d clients" flag n
+            hosts (hosts - 3))
+      [ ("low-clients", low_clients); ("high-clients", high_clients) ]
+  end;
   let result =
     if smoke then Experiments.Dds_bench.smoke ~seed ?structures ()
     else
@@ -83,11 +112,21 @@ let hosts_per_leaf =
   Arg.(value & opt int 4 & info [ "hosts-per-leaf" ] ~docv:"N" ~doc)
 
 let low_clients =
-  let doc = "Concurrent clients on the low-contention leg." in
+  let doc =
+    Printf.sprintf
+      "Concurrent clients on the low-contention leg; at most %d when the \
+       register is in scope, else exit 2."
+      (Dds.Tag.ranks - 1)
+  in
   Arg.(value & opt int 2 & info [ "low-clients" ] ~docv:"N" ~doc)
 
 let high_clients =
-  let doc = "Concurrent clients on the high-contention leg." in
+  let doc =
+    Printf.sprintf
+      "Concurrent clients on the high-contention leg; at most %d when the \
+       register is in scope, else exit 2."
+      (Dds.Tag.ranks - 1)
+  in
   Arg.(value & opt int 12 & info [ "high-clients" ] ~docv:"N" ~doc)
 
 let low_zipf =

@@ -174,50 +174,7 @@ let rx_ctrl_cost c payload_bytes =
     (float_of_int (Atm.Aal.words_of_len payload_bytes))
 
 (* ------------------------------------------------------------------ *)
-(* Construction.                                                       *)
-
-(* Tied after the handlers are defined; see the bottom of the file. *)
-let handle_message : (t -> src:Atm.Addr.t -> Wire.message -> unit) ref =
-  ref (fun _ ~src:_ _ -> assert false)
-
-let attach node =
-  let t =
-    {
-      node;
-      rx_request_category = Cluster.Cpu.cat_emulation;
-      tx_reply_category = Cluster.Cpu.cat_emulation;
-      client_category = Cluster.Cpu.cat_emulation;
-      exported = Int_tbl.create 16;
-      next_segment_id = 1;
-      next_generation = Generation.initial;
-      pending = Int_tbl.create 16;
-      next_reqid = 1;
-      completion_fd = Notification.create ~name:"completion fd" node;
-      ops = Metrics.Account.create ~name:"rmem ops" ();
-      data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
-      errors = Metrics.Account.create ~name:"rmem errors" ();
-      delivery_probe = None;
-      crypto = None;
-      write_failures = Hashtbl.create 4;
-      monitor = None;
-      recovery_depth = 0;
-      batch = None;
-      next_batch = 1;
-      fault_registry = None;
-      malformed = 0;
-    }
-  in
-  List.iter
-    (fun tag ->
-      Cluster.Node.set_handler node ~tag (fun ~src payload ->
-          match Wire.decode payload with
-          | Ok message -> !handle_message t ~src message
-          | Error _ ->
-              (* A frame that passed the AAL check yet does not parse
-                 (a buggy or hostile peer): count it and drop it. *)
-              t.malformed <- t.malformed + 1))
-    Wire.tags;
-  t
+(* Accessors and configuration.                                       *)
 
 let node t = t.node
 let completion_fd t = t.completion_fd
@@ -235,16 +192,12 @@ let notification_backlog t =
     t.exported
     (Notification.pending t.completion_fd)
 
-let set_categories t ?rx_request ?tx_reply ?client () =
-  Option.iter (fun c -> t.rx_request_category <- c) rx_request;
-  Option.iter (fun c -> t.tx_reply_category <- c) tx_reply;
-  Option.iter (fun c -> t.client_category <- c) client
-
 let set_server_role t =
   (* Outgoing writes a server issues (e.g. Hybrid-1 result writes into a
      clerk's reply segment) are its data-reply work too. *)
-  set_categories t ~rx_request:Cluster.Cpu.cat_data_reception
-    ~tx_reply:Cluster.Cpu.cat_data_reply ~client:Cluster.Cpu.cat_data_reply ()
+  t.rx_request_category <- Cluster.Cpu.cat_data_reception;
+  t.tx_reply_category <- Cluster.Cpu.cat_data_reply;
+  t.client_category <- Cluster.Cpu.cat_data_reply
 
 let set_delivery_probe t probe = t.delivery_probe <- probe
 let set_monitor t monitor = t.monitor <- monitor
@@ -346,7 +299,6 @@ let revoke t segment =
     c.Cluster.Costs.segment_revoke_kernel;
   Metrics.Account.add t.ops ~category:"revoke" 1.
 
-let lookup_export t id = Int_tbl.find_opt t.exported id
 let exports t = Int_tbl.fold (fun _ segment acc -> segment :: acc) t.exported []
 
 let import t ~remote ~segment_id ~generation ~size
@@ -356,13 +308,6 @@ let import t ~remote ~segment_id ~generation ~size
     c.Cluster.Costs.kernel_table_install;
   Metrics.Account.add t.ops ~category:"import" 1.;
   Descriptor.create ~remote ~segment_id ~generation ~size ~rights
-
-let buffer_of_segment segment =
-  {
-    space = Segment.space segment;
-    base = Segment.base segment;
-    len = Segment.length segment;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Local (issue-side) validation.                                      *)
@@ -399,10 +344,71 @@ let alloc_reqid t =
 
 let burst_data_bytes c = c.Cluster.Costs.burst_cells * Wire.data_bytes_per_cell
 
-let write t desc ~off ?(notify = false) ?(swab = false) data =
+let rec check_extents t desc = function
+  | [] -> ()
+  | (it : Wire.burst_item) :: rest ->
+      check_local t desc Rights.Write_op ~off:it.off ~count:it.data.len;
+      check_extents t desc rest
+
+let rec charge_extents t crypto ~category = function
+  | [] -> ()
+  | (it : Wire.burst_item) :: rest ->
+      crypto_charge t crypto ~category it.data.len;
+      charge_extents t crypto ~category rest
+
+(* One per-cell WRITE frame.  The chunk is copied from the caller's
+   bytes straight into its frame (and enciphered there) before the NIC
+   charge: the snapshot instant of the caller's bytes is the start of
+   the chunk. *)
+let send_cell_frame t c fl ~dst ~seg ~gen ~swab ~notify ~off data =
+  let crypto = t.crypto in
+  let frame =
+    Wire.encode
+      ?transform:(crypto_transform crypto)
+      (Wire.Write { seg; gen; off; notify; swab; data })
+  in
+  Obs.Trace.phase fl "nic";
+  Cluster.Cpu.use (cpu t) ~category:t.client_category
+    (tx_data_cost c data.Atm.Codec.len);
+  crypto_charge t crypto ~category:t.client_category data.Atm.Codec.len;
+  Obs.Trace.phase_end fl;
+  Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst frame
+
+(* The per-cell encoding: each extent in [burst_data_bytes] chunks from
+   [pos], one frame each, the notify bit on the very last.  An empty
+   extent still sends its header cell — a doorbell when combined with
+   the notify bit. *)
+let rec send_cells t c fl ~dst ~seg ~gen ~swab ~notify items pos =
+  match items with
+  | [] -> ()
+  | (it : Wire.burst_item) :: rest ->
+      let len = Int.min (burst_data_bytes c) (it.data.len - pos) in
+      let more = pos + len < it.data.len in
+      send_cell_frame t c fl ~dst ~seg ~gen ~swab
+        ~notify:(notify && (not more) && rest = [])
+        ~off:(it.off + pos)
+        { it.data with pos = it.data.pos + pos; len };
+      if more then
+        send_cells t c fl ~dst ~seg ~gen ~swab ~notify items (pos + len)
+      else send_cells t c fl ~dst ~seg ~gen ~swab ~notify rest 0
+
+(* The one WRITE issue path; a single write is a one-extent burst.  The
+   monitor sees one Issued covering the total byte count at the first
+   extent's offset; the serve side emits one Served per extent, which
+   sum back to it.  [burst] picks the wire encoding:
+   - per-cell ([Wire.Write]): 40 data bytes per cell, frames of at most
+     [burst_cells] cells, each built before its NIC charge and carrying
+     its own link-crypto charge inside the "nic" phase;
+   - burst ([Wire.Write_burst], the TCA-100 block-transfer mode): every
+     extent framed once, 48 payload bytes per cell, one FIFO setup per
+     [burst_cells] group, the crypto charge ahead of the "nic" phase and
+     the frame built once every charge is paid.
+   The encoding also names the trace op and the [ops] category. *)
+let issue_write t desc ~burst ~notify ~swab items =
   let c = costs t in
-  let count = Bytes.length data in
-  check_local t desc Rights.Write_op ~off ~count;
+  check_extents t desc items;
+  let off = (List.hd items).Wire.off in
+  let count = Wire.burst_payload_bytes items in
   emit t
     (Issued
        {
@@ -415,125 +421,56 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
          cas = None;
          batch = t.batch;
        });
+  let seg = Descriptor.segment_id desc in
   let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"WRITE"
-      ~seg:(Descriptor.segment_id desc) ~off ~count
+    Obs.Trace.issue_begin ~node:(nid t)
+      ~op:(if burst then "WRITE_BURST" else "WRITE")
+      ~seg ~off ~count
   in
   Obs.Trace.phase fl "trap";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check);
   Obs.Trace.phase_end fl;
-  Metrics.Account.add t.ops ~category:"write" 1.;
+  Metrics.Account.add t.ops
+    ~category:(if burst then "write burst" else "write")
+    1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int count);
-  let burst = burst_data_bytes c in
   let dst = Descriptor.remote desc in
-  let seg = Descriptor.segment_id desc in
   let gen = Descriptor.generation desc in
-  (* Each chunk is copied from [data] straight into its frame (and
-     enciphered there) before the NIC charge: the snapshot instant of
-     the caller's bytes is the start of the chunk. *)
-  let send_chunk ~off ~notify ~pos ~len =
-    let crypto = t.crypto in
-    let frame =
-      Wire.encode
-        ?transform:(crypto_transform crypto)
-        (Wire.Write
-           { seg; gen; off; notify; swab; data = { base = data; pos; len } })
-    in
-    Obs.Trace.phase fl "nic";
-    Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost c len);
-    crypto_charge t crypto ~category:t.client_category len;
-    Obs.Trace.phase_end fl;
-    Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst frame
-  in
-  if count = 0 then
-    (* A zero-length write still sends its header cell — useful as a
-       doorbell when combined with the notify bit. *)
-    send_chunk ~off ~notify ~pos:0 ~len:0
+  if not burst then send_cells t c fl ~dst ~seg ~gen ~swab ~notify items 0
   else begin
-    let rec send pos =
-      if pos < count then begin
-        let chunk_len = Int.min burst (count - pos) in
-        let last = pos + chunk_len >= count in
-        send_chunk ~off:(off + pos) ~notify:(notify && last) ~pos
-          ~len:chunk_len;
-        send (pos + chunk_len)
-      end
-    in
-    send 0
+    let crypto = t.crypto in
+    charge_extents t crypto ~category:t.client_category items;
+    Obs.Trace.phase fl "nic";
+    Cluster.Cpu.use (cpu t) ~category:t.client_category
+      (tx_burst_cost c (Wire.burst_frame_bytes items));
+    Obs.Trace.phase_end fl;
+    Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst
+      (Wire.encode
+         ?transform:(crypto_transform crypto)
+         (Wire.Write_burst { seg; gen; notify; swab; items }))
   end
+
+let write t desc ~off ?(notify = false) ?(swab = false) data =
+  issue_write t desc ~burst:false ~notify ~swab
+    [ { Wire.off; data = Atm.Codec.view data } ]
+
+let burst_items extents =
+  if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
+  List.map
+    (fun (off, data) ->
+      if Bytes.length data = 0 then
+        invalid_arg "Remote_memory.write_burst: empty extent";
+      { Wire.off; data = Atm.Codec.view data })
+    extents
 
 (* A scatter-gather WRITE burst: several extents of one segment framed
    once at the AAL layer, so the whole batch costs one trap, one
    descriptor check and one FIFO setup per [burst_cells] group instead
-   of per 40-byte-payload cell.  The monitor sees one Issued covering
-   the total byte count; the serve side emits one Served per extent,
-   which sum back to it.  Extents must be non-empty; overlapping
+   of per 40-byte-payload cell.  Extents must be non-empty; overlapping
    extents deposit in list order (last writer wins). *)
 let write_burst t desc ?(notify = false) ?(swab = false) extents =
-  if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
-  let c = costs t in
-  let items =
-    List.map
-      (fun (off, data) ->
-        if Bytes.length data = 0 then
-          invalid_arg "Remote_memory.write_burst: empty extent";
-        { Wire.off; data = Atm.Codec.view data })
-      extents
-  in
-  List.iter
-    (fun it ->
-      check_local t desc Rights.Write_op ~off:it.Wire.off
-        ~count:it.Wire.data.len)
-    items;
-  let total = Wire.burst_payload_bytes items in
-  let first_off = (List.hd items).Wire.off in
-  emit t
-    (Issued
-       {
-         op = Rights.Write_op;
-         desc;
-         off = first_off;
-         count = total;
-         notify;
-         policied = t.recovery_depth > 0;
-         cas = None;
-         batch = t.batch;
-       });
-  let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"WRITE_BURST"
-      ~seg:(Descriptor.segment_id desc) ~off:first_off ~count:total
-  in
-  Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check);
-  Obs.Trace.phase_end fl;
-  Metrics.Account.add t.ops ~category:"write burst" 1.;
-  Metrics.Account.add t.data_bytes ~category:"write" (float_of_int total);
-  let crypto = t.crypto in
-  List.iter
-    (fun it -> crypto_charge t crypto ~category:t.client_category it.Wire.data.len)
-    items;
-  Obs.Trace.phase fl "nic";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (tx_burst_cost c (Wire.burst_frame_bytes items));
-  Obs.Trace.phase_end fl;
-  (* The extents are copied into the frame (and enciphered there) once
-     every charge is paid, so they are read after the NIC charge. *)
-  Cluster.Node.transmit
-    ?ctx:(Obs.Trace.wire_ctx fl)
-    t.node
-    ~dst:(Descriptor.remote desc)
-    (Wire.encode
-       ?transform:(crypto_transform crypto)
-       (Wire.Write_burst
-          {
-            seg = Descriptor.segment_id desc;
-            gen = Descriptor.generation desc;
-            notify;
-            swab;
-            items;
-          }))
+  issue_write t desc ~burst:true ~notify ~swab (burst_items extents)
 
 let read_async t desc ~soff ~count ~dst ~doff ?(notify = false)
     ?(swab = false) () =
@@ -797,64 +734,37 @@ let read_with t ~policy desc ~soff ~count ~dst ~doff ?notify ?swab () =
         ~timeout:(Recovery.timeout policy)
         t desc ~soff ~count ~dst ~doff ?notify ?swab ())
 
-let write_with t ~policy desc ~off ?notify ?(swab = false) data =
-  (* WRITE is unacknowledged and a frame the fault plane drops generates
-     no nack — a bare fence round trip would sail past the gap and
-     succeed.  So each attempt deposits and then *reads the data back*
-     (the paper's "read of a known value"), treating a mismatch as loss
-     and reissuing: at-least-once deposit of idempotent data.  The
-     read-back also flushes any nack, which is re-raised.  When the
-     descriptor grants no read rights (or the data is byte-swapped in
-     transit), only the nack-flushing fence remains — loss detection
-     then needs an application-level read, as in the paper.
-     Verification assumes no concurrent writer deposits different bytes
-     into the same region mid-check (single-writer regions, the usual
-     discipline here). *)
-  let count = Bytes.length data in
-  let verifiable =
-    count > 0 && (not swab) && Rights.allows (Descriptor.rights desc) Rights.Read_op
-  in
-  run_policy t policy desc ~op:"WRITE" (fun () ->
-      write t desc ~off ~swab ?notify data;
-      if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
-      else begin
-        let space = scratch_space () in
-        let dst = buffer ~space ~base:0 ~len:count in
-        read_wait
-          ~timeout:(Recovery.timeout policy)
-          t desc ~soff:off ~count ~dst ~doff:0 ();
-        (match take_write_failure t desc with
-        | None -> ()
-        | Some status -> raise (Status.Remote_error status));
-        let got = Cluster.Address_space.read space ~addr:0 ~len:count in
-        if not (Bytes.equal got data) then
-          (* The deposit frame was lost on the wire (or corrupted and
-             discarded at the NIC): surface it as the timeout it would
-             eventually become. *)
-          raise (Status.Remote_error Status.Timed_out)
-      end)
-
-(* Burst variant of {!write_with}: each attempt sends the whole burst,
-   then reads back the covering span and compares every extent (or falls
-   back to the nack-flushing fence when unverifiable).  Extents must not
-   overlap — an overwritten extent would fail verification forever. *)
-let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
-  if extents = [] then
-    invalid_arg "Remote_memory.write_burst_with: empty burst";
+(* The one write-then-verify path.  WRITE is unacknowledged and a frame
+   the fault plane drops generates no nack — a bare fence round trip
+   would sail past the gap and succeed.  So each attempt deposits and
+   then *reads the data back* over the extents' covering span (the
+   paper's "read of a known value"), treating a mismatch in any extent
+   as loss and reissuing: at-least-once deposit of idempotent data.  The
+   read-back also flushes any nack, which is re-raised.  When there is
+   nothing to read back, the descriptor grants no read rights or the
+   data is byte-swapped in transit, only the nack-flushing fence remains
+   — loss detection then needs an application-level read, as in the
+   paper.  Verification assumes no concurrent writer deposits different
+   bytes into the same region mid-check (single-writer regions, the
+   usual discipline here), and extents that do not overlap: an
+   overwritten extent would fail verification forever. *)
+let write_verified t ~policy desc ~burst ~notify ~swab items =
   let lo =
-    List.fold_left (fun acc (off, _) -> Stdlib.min acc off) max_int extents
+    List.fold_left
+      (fun acc (it : Wire.burst_item) -> Int.min acc it.off)
+      max_int items
   in
   let hi =
     List.fold_left
-      (fun acc (off, data) -> Int.max acc (off + Bytes.length data))
-      0 extents
+      (fun acc (it : Wire.burst_item) -> Int.max acc (it.off + it.data.len))
+      0 items
   in
   let span = hi - lo in
   let verifiable =
-    (not swab) && Rights.allows (Descriptor.rights desc) Rights.Read_op
+    span > 0 && (not swab) && Rights.allows (Descriptor.rights desc) Rights.Read_op
   in
   run_policy t policy desc ~op:"WRITE" (fun () ->
-      write_burst t desc ?notify ~swab extents;
+      issue_write t desc ~burst ~notify ~swab items;
       if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
       else begin
         let space = scratch_space () in
@@ -865,16 +775,27 @@ let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
         (match take_write_failure t desc with
         | None -> ()
         | Some status -> raise (Status.Remote_error status));
+        let got = Cluster.Address_space.read space ~addr:0 ~len:span in
         List.iter
-          (fun (off, data) ->
-            let got =
-              Cluster.Address_space.read space ~addr:(off - lo)
-                ~len:(Bytes.length data)
-            in
-            if not (Bytes.equal got data) then
+          (fun (it : Wire.burst_item) ->
+            if
+              not
+                (Atm.Codec.view_equal it.data
+                   (Atm.Codec.view got ~pos:(it.off - lo) ~len:it.data.len))
+            then
+              (* The deposit frame was lost on the wire (or corrupted
+                 and discarded at the NIC): surface it as the timeout it
+                 would eventually become. *)
               raise (Status.Remote_error Status.Timed_out))
-          extents
+          items
       end)
+
+let write_with t ~policy desc ~off ?(notify = false) ?(swab = false) data =
+  write_verified t ~policy desc ~burst:false ~notify ~swab
+    [ { Wire.off; data = Atm.Codec.view data } ]
+
+let write_burst_with t ~policy desc ?(notify = false) ?(swab = false) extents =
+  write_verified t ~policy desc ~burst:true ~notify ~swab (burst_items extents)
 
 let cas_with t ~policy desc ~doff ~old_value ~new_value ?result ?notify () =
   run_policy t policy desc ~op:"CAS" (fun () ->
@@ -970,179 +891,111 @@ let validate_segment t ~src ~seg ~gen ~off ~count op =
       else Ok segment
 
 (* A write this node cannot apply is data silently lost unless the
-   issuer hears about it: report the drop with a negative ack (the
-   success path stays unacknowledged, as in the paper). *)
-let drop_write t ~src ~sv (w : Wire.write_req) status =
+   issuer hears about it: report the drop with a negative ack naming the
+   refused extent (the success path stays unacknowledged, as in the
+   paper). *)
+let drop_write t ~src ~sv ~seg ~gen ~off ~count status =
   let c = costs t in
-  let count = w.data.len in
   record_error t status;
   emit t
     (Serve_rejected
-       {
-         op = Rights.Write_op;
-         src;
-         seg = w.seg;
-         gen = w.gen;
-         off = w.off;
-         count;
-         status;
-       });
+       { op = Rights.Write_op; src; seg; gen; off; count; status });
   Obs.Trace.serve_arg sv "status" (Status.to_string status);
   Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
     t.node ~dst:src
-    (Wire.encode
-       (Wire.Write_nack
-          { status; seg = w.seg; gen = w.gen; off = w.off; count }));
+    (Wire.encode (Wire.Write_nack { status; seg; gen; off; count }));
   Obs.Trace.serve_end sv
 
-let handle_write t ~src (w : Wire.write_req) =
-  let c = costs t in
-  let count = w.data.len in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
-  Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
-       c.Cluster.Costs.vm_deliver);
-  match
-    validate_segment t ~src ~seg:w.seg ~gen:w.gen ~off:w.off ~count
-      Rights.Write_op
-  with
-  | Error status -> drop_write t ~src ~sv w status
-  | Ok segment ->
-      if Segment.write_inhibited segment then
-        drop_write t ~src ~sv w Status.Write_inhibited
-      else begin
-        let crypto = t.crypto in
-        crypto_charge t crypto ~category:t.rx_request_category count;
-        deposit crypto ~swab:w.swab w.data (Segment.space segment)
-          ~addr:(Segment.base segment + w.off);
-        Metrics.Account.add t.data_bytes ~category:"write served"
-          (float_of_int count);
-        let notified = Segment.should_notify segment ~requested:w.notify in
-        (* Guarded: this runs once per received chunk, and an unwatched
-           event should not even be built. *)
-        if Option.is_some t.monitor then
-          emit t
-            (Served
-               {
-                 op = Rights.Write_op;
-                 src;
-                 segment;
-                 off = w.off;
-                 count;
-                 notified;
-                 cas_success = None;
-               });
-        (match t.delivery_probe with
-        | Some probe -> probe Notification.Write_arrived ~count
-        | None -> ());
-        (if notified then
-           Notification.post
-             ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-             (Segment.notification segment)
-             {
-               Notification.src;
-               kind = Notification.Write_arrived;
-               off = w.off;
-               count;
-             });
-        Obs.Trace.serve_end sv
-      end
+(* The segment every extent may land in, or the first extent this node
+   must refuse with its status.  An empty burst is refused as out of
+   bounds. *)
+let rec validate_extents t ~src ~seg ~gen = function
+  | [] -> Error (Status.Bounds, 0, 0)
+  | (it : Wire.burst_item) :: rest -> (
+      let count = it.data.len in
+      match
+        validate_segment t ~src ~seg ~gen ~off:it.off ~count Rights.Write_op
+      with
+      | Error status -> Error (status, it.off, count)
+      | Ok segment ->
+          if Segment.write_inhibited segment then
+            Error (Status.Write_inhibited, it.off, count)
+          else if rest = [] then Ok segment
+          else validate_extents t ~src ~seg ~gen rest)
 
-(* Serving a burst: one interrupt and one FIFO drain for the whole
-   frame, every extent validated before any byte is deposited (the burst
+let rec deposit_extents t ~src segment crypto ~swab ~notified = function
+  | [] -> ()
+  | (it : Wire.burst_item) :: rest ->
+      let count = it.data.len in
+      deposit crypto ~swab it.data (Segment.space segment)
+        ~addr:(Segment.base segment + it.off);
+      Metrics.Account.add t.data_bytes ~category:"write served"
+        (float_of_int count);
+      (* Guarded: this runs once per received extent, and an unwatched
+         event should not even be built. *)
+      if Option.is_some t.monitor then
+        emit t
+          (Served
+             {
+               op = Rights.Write_op;
+               src;
+               segment;
+               off = it.off;
+               count;
+               notified = notified && rest = [];
+               cas_success = None;
+             });
+      (match t.delivery_probe with
+      | Some probe -> probe Notification.Write_arrived ~count
+      | None -> ());
+      deposit_extents t ~src segment crypto ~swab ~notified rest
+
+(* The one WRITE serve path, for either encoding; [rx_cost] is the
+   encoding's FIFO drain.  One interrupt and one drain for the whole
+   frame, every extent validated before any byte is deposited (the frame
    applies atomically or not at all — a single nack names the first
    offending extent), then all deposits happen back-to-back with no CPU
-   charge in between, so in simulated time the burst lands as a unit.
-   At most one notification is raised, covering the whole burst. *)
-let handle_write_burst t ~src (b : Wire.write_burst) =
+   charge in between, so in simulated time the frame lands as a unit.
+   At most one notification is raised, covering the whole frame. *)
+let serve_write t ~src ~rx_cost ~seg ~gen ~notify ~swab items =
   let c = costs t in
-  let total = Wire.burst_payload_bytes b.items in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt
-          (rx_burst_cost c (Wire.burst_frame_bytes b.items)))
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt rx_cost)
        c.Cluster.Costs.vm_deliver);
-  let drop status ~off ~count =
-    record_error t status;
-    emit t
-      (Serve_rejected
-         { op = Rights.Write_op; src; seg = b.seg; gen = b.gen; off; count;
-           status });
-    Obs.Trace.serve_arg sv "status" (Status.to_string status);
-    Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
-      t.node ~dst:src
-      (Wire.encode
-         (Wire.Write_nack { status; seg = b.seg; gen = b.gen; off; count }));
-    Obs.Trace.serve_end sv
-  in
-  let rec validate = function
-    | [] -> Ok ()
-    | it :: rest -> (
-        let count = it.Wire.data.len in
-        match
-          validate_segment t ~src ~seg:b.seg ~gen:b.gen ~off:it.Wire.off ~count
-            Rights.Write_op
-        with
-        | Error status -> Error (status, it.Wire.off, count)
-        | Ok segment ->
-            if Segment.write_inhibited segment then
-              Error (Status.Write_inhibited, it.Wire.off, count)
-            else if rest = [] then Ok () else validate rest)
-  in
-  match b.items with
-  | [] -> drop Status.Bounds ~off:0 ~count:0
-  | first :: _ -> (
-      match validate b.items with
-      | Error (status, off, count) -> drop status ~off ~count
-      | Ok () ->
-          let segment = Int_tbl.find t.exported b.seg in
-          let crypto = t.crypto in
-          List.iter
-            (fun it ->
-              crypto_charge t crypto ~category:t.rx_request_category
-                it.Wire.data.len)
-            b.items;
-          let n = List.length b.items in
-          let notified = Segment.should_notify segment ~requested:b.notify in
-          List.iteri
-            (fun i { Wire.off; data } ->
-              deposit crypto ~swab:b.swab data (Segment.space segment)
-                ~addr:(Segment.base segment + off);
-              let count = data.len in
-              Metrics.Account.add t.data_bytes ~category:"write served"
-                (float_of_int count);
-              emit t
-                (Served
-                   {
-                     op = Rights.Write_op;
-                     src;
-                     segment;
-                     off;
-                     count;
-                     notified = notified && i = n - 1;
-                     cas_success = None;
-                   });
-              match t.delivery_probe with
-              | Some probe -> probe Notification.Write_arrived ~count
-              | None -> ())
-            b.items;
-          (if notified then
-             Notification.post
-               ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-               (Segment.notification segment)
-               {
-                 Notification.src;
-                 kind = Notification.Write_arrived;
-                 off = first.Wire.off;
-                 count = total;
-               });
-          Obs.Trace.serve_end sv)
+  match validate_extents t ~src ~seg ~gen items with
+  | Error (status, off, count) ->
+      drop_write t ~src ~sv ~seg ~gen ~off ~count status
+  | Ok segment ->
+      let crypto = t.crypto in
+      charge_extents t crypto ~category:t.rx_request_category items;
+      let notified = Segment.should_notify segment ~requested:notify in
+      deposit_extents t ~src segment crypto ~swab ~notified items;
+      (if notified then
+         Notification.post
+           ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
+           (Segment.notification segment)
+           {
+             Notification.src;
+             kind = Notification.Write_arrived;
+             off = (List.hd items).Wire.off;
+             count = Wire.burst_payload_bytes items;
+           });
+      Obs.Trace.serve_end sv
+
+let handle_write t ~src (w : Wire.write_req) =
+  serve_write t ~src
+    ~rx_cost:(rx_data_cost (costs t) w.data.len)
+    ~seg:w.seg ~gen:w.gen ~notify:w.notify ~swab:w.swab
+    [ { Wire.off = w.off; data = w.data } ]
+
+let handle_write_burst t ~src (b : Wire.write_burst) =
+  serve_write t ~src
+    ~rx_cost:(rx_burst_cost (costs t) (Wire.burst_frame_bytes b.items))
+    ~seg:b.seg ~gen:b.gen ~notify:b.notify ~swab:b.swab b.items
 
 let handle_read t ~src (r : Wire.read_req) =
   let c = costs t in
@@ -1435,14 +1288,53 @@ let handle_write_nack t ~src (n : Wire.write_nack) =
   Obs.Trace.root_close sv ~status:(Status.to_string n.status);
   Obs.Trace.serve_end sv
 
-let () =
-  handle_message :=
-    fun t ~src message ->
-      match message with
-      | Wire.Write w -> handle_write t ~src w
-      | Wire.Read r -> handle_read t ~src r
-      | Wire.Cas r -> handle_cas t ~src r
-      | Wire.Read_reply r -> handle_read_reply t ~src r
-      | Wire.Cas_reply r -> handle_cas_reply t ~src r
-      | Wire.Write_nack n -> handle_write_nack t ~src n
-      | Wire.Write_burst b -> handle_write_burst t ~src b
+let handle_message t ~src = function
+  | Wire.Write w -> handle_write t ~src w
+  | Wire.Read r -> handle_read t ~src r
+  | Wire.Cas r -> handle_cas t ~src r
+  | Wire.Read_reply r -> handle_read_reply t ~src r
+  | Wire.Cas_reply r -> handle_cas_reply t ~src r
+  | Wire.Write_nack n -> handle_write_nack t ~src n
+  | Wire.Write_burst b -> handle_write_burst t ~src b
+
+(* ------------------------------------------------------------------ *)
+(* Construction.                                                       *)
+
+let attach node =
+  let t =
+    {
+      node;
+      rx_request_category = Cluster.Cpu.cat_emulation;
+      tx_reply_category = Cluster.Cpu.cat_emulation;
+      client_category = Cluster.Cpu.cat_emulation;
+      exported = Int_tbl.create 16;
+      next_segment_id = 1;
+      next_generation = Generation.initial;
+      pending = Int_tbl.create 16;
+      next_reqid = 1;
+      completion_fd = Notification.create ~name:"completion fd" node;
+      ops = Metrics.Account.create ~name:"rmem ops" ();
+      data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
+      errors = Metrics.Account.create ~name:"rmem errors" ();
+      delivery_probe = None;
+      crypto = None;
+      write_failures = Hashtbl.create 4;
+      monitor = None;
+      recovery_depth = 0;
+      batch = None;
+      next_batch = 1;
+      fault_registry = None;
+      malformed = 0;
+    }
+  in
+  List.iter
+    (fun tag ->
+      Cluster.Node.set_handler node ~tag (fun ~src payload ->
+          match Wire.decode payload with
+          | Ok message -> handle_message t ~src message
+          | Error _ ->
+              (* A frame that passed the AAL check yet does not parse
+                 (a buggy or hostile peer): count it and drop it. *)
+              t.malformed <- t.malformed + 1))
+    Wire.tags;
+  t

@@ -25,7 +25,6 @@ type buffer
     CAS result slot. *)
 
 val buffer : space:Cluster.Address_space.t -> base:int -> len:int -> buffer
-val buffer_of_segment : Segment.t -> buffer
 
 (** {1 Export / import} *)
 
@@ -48,8 +47,6 @@ val export :
 val revoke : t -> Segment.t -> unit
 (** Make a segment unavailable; in-flight requests fail with
     [Bad_segment] or [Stale_generation]. Unpins its pages. *)
-
-val lookup_export : t -> int -> Segment.t option
 
 val exports : t -> Segment.t list
 (** All currently exported (unrevoked) segments, unordered. *)
@@ -105,7 +102,8 @@ val write_burst :
     all; one nack names the first offending extent) and raises at most
     one notification covering the whole burst. Extents must be
     non-empty; overlapping extents deposit in list order. Raises
-    [Invalid_argument] on an empty burst or extent. *)
+    [Invalid_argument] on an empty burst or extent. A {!write} is the
+    same operation on one extent; only its wire encoding differs. *)
 
 val read :
   ?timeout:Sim.Time.t ->
@@ -295,10 +293,6 @@ val completion_fd : t -> Notification.t
 (** Where READ/CAS completions with the notify bit are posted on the
     requesting node. (WRITE notifications post on the destination
     segment's own descriptor.) *)
-
-val set_categories :
-  t -> ?rx_request:string -> ?tx_reply:string -> ?client:string -> unit -> unit
-(** Rebind the CPU-accounting categories used by the emulation. *)
 
 val set_server_role : t -> unit
 (** Account request service as "data reception" and replies as
