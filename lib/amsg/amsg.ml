@@ -21,7 +21,30 @@ type t = {
   mutable sent : int;
   mutable delivered : int;
   mutable handler_cpu : Sim.Time.t; (* receiver CPU spent in upcalls *)
+  mutable malformed : int; (* received frames dropped unparsed *)
 }
+
+(* A frame shorter than its header, whose [len] overruns it, or naming
+   a handler nobody registered (a buggy or hostile peer): counted and
+   dropped, uncharged, as Remote_memory drops undecodable frames. *)
+let drop t = t.malformed <- t.malformed + 1
+
+let upcall t ~src ~handler ~payload args =
+  let node = t.node in
+  let c = Cluster.Node.costs node in
+  (* Interrupt-level reception: drain the frame... *)
+  Cluster.Cpu.use (Cluster.Node.cpu node)
+    ~category:Cluster.Cpu.cat_data_reception
+    (Sim.Time.add c.Cluster.Costs.rx_interrupt
+       (Cluster.Costs.frame_copy_cost c ~payload_bytes:(Bytes.length payload)));
+  (* ...then run the handler upcall right here.  The handler charges
+     its own computation (category: procedure). *)
+  let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
+  handler ~src args;
+  t.delivered <- t.delivered + 1;
+  t.handler_cpu <-
+    Sim.Time.add t.handler_cpu
+      (Sim.Time.diff (Cluster.Cpu.busy_time (Cluster.Node.cpu node)) before)
 
 let attach node =
   let t =
@@ -31,36 +54,24 @@ let attach node =
       sent = 0;
       delivered = 0;
       handler_cpu = Sim.Time.zero;
+      malformed = 0;
     }
   in
   Cluster.Node.set_handler node ~tag:frame_tag (fun ~src payload ->
       let r = Atm.Codec.reader payload in
-      let (_ : int) = Atm.Codec.get_u8 r in
-      let id = Atm.Codec.get_u8 r in
-      let len = Atm.Codec.get_u16 r in
-      Atm.Codec.skip r 4;
-      let args = Atm.Codec.get_bytes r len in
-      let c = Cluster.Node.costs node in
-      (* Interrupt-level reception: drain the frame... *)
-      Cluster.Cpu.use (Cluster.Node.cpu node)
-        ~category:Cluster.Cpu.cat_data_reception
-        (Sim.Time.add c.Cluster.Costs.rx_interrupt
-           (Cluster.Costs.frame_copy_cost c
-              ~payload_bytes:(Bytes.length payload)));
-      (* ...then run the handler upcall right here.  The handler charges
-         its own computation (category: procedure). *)
-      match t.handlers.(id) with
-      | Some handler ->
-          let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
-          handler ~src args;
-          t.delivered <- t.delivered + 1;
-          t.handler_cpu <-
-            Sim.Time.add t.handler_cpu
-              (Sim.Time.diff
-                 (Cluster.Cpu.busy_time (Cluster.Node.cpu node))
-                 before)
-      | None ->
-          failwith (Printf.sprintf "Amsg: no handler %d registered" id));
+      let id = ref 0 in
+      match
+        Atm.Codec.skip r 1;
+        id := Atm.Codec.get_u8 r;
+        let len = Atm.Codec.get_u16 r in
+        Atm.Codec.skip r 4;
+        Atm.Codec.get_bytes r len
+      with
+      | exception Atm.Codec.Truncated -> drop t
+      | args -> (
+          match t.handlers.(!id) with
+          | None -> drop t
+          | Some handler -> upcall t ~src ~handler ~payload args));
   t
 
 let register t ~id handler =
@@ -88,4 +99,5 @@ let send t ~dst ~handler args =
 let sent t = t.sent
 let delivered t = t.delivered
 let handler_cpu t = t.handler_cpu
+let malformed t = t.malformed
 let node t = t.node

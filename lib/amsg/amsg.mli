@@ -26,4 +26,9 @@ val delivered : t -> int
 val handler_cpu : t -> Sim.Time.t
 (** Receiver CPU consumed inside handler upcalls. *)
 
+val malformed : t -> int
+(** Received frames dropped without an upcall or a CPU charge: shorter
+    than the 8-byte header, with an argument length that overruns the
+    frame, or naming an unregistered handler id. *)
+
 val node : t -> Cluster.Node.t

@@ -20,9 +20,11 @@ val wire_bytes_of_len : int -> int
 val words_of_len : int -> int
 (** 32-bit words touched by programmed I/O to copy [len] bytes. *)
 
-val checksum : bytes -> int
+val checksum : bytes -> int64
 (** The modeled AAL5 trailer CRC over a frame payload: a word-wise
-    multiplicative digest, one 63-bit multiply per 32-bit word, computed
-    in four independent lanes and then combined. Any change confined to
-    a single 32-bit word of the payload (so any single corrupted byte or
-    flipped bit) changes it. Free in simulated time. *)
+    multiplicative digest modulo 2^64, one multiply per 8-byte word,
+    computed in four independent lanes and then combined. Any change
+    confined to a single 8-byte word of the payload (so any single
+    corrupted byte or flipped bit) changes it. Free in simulated time.
+    Inlined where it is called, so a caller that splits the digest into
+    ints does not box it. *)

@@ -2,8 +2,12 @@
 
 type t = int
 
+(* A frame packs its source and destination into one word. *)
+let bits = 31
+
 let of_int i =
   if i < 0 then invalid_arg "Addr.of_int: negative address";
+  if i lsr bits <> 0 then invalid_arg "Addr.of_int: address out of range";
   i
 
 let to_int a = a

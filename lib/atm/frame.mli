@@ -18,7 +18,7 @@ val length : t -> int
 val intact : t -> bool
 (** Does the payload still match the AAL checksum computed at {!make}?
     False only for frames damaged in flight by the fault plane: the
-    checksum catches every change confined to one 32-bit word, so every
+    checksum catches every change confined to one 8-byte word, so every
     single-byte or single-bit corruption. *)
 
 val corrupted : byte:int -> t -> t

@@ -32,6 +32,16 @@ let refresh t ~generation =
   t.generation <- generation;
   t.stale <- false
 
+let target t =
+  (Atm.Addr.to_int t.remote, t.segment_id, Generation.to_int t.generation)
+
+module Target_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((a, b, c) : t) (a', b', c') = a = a' && b = b' && c = c'
+  let hash ((a, b, c) : t) = ((((a * 65599) + b) * 65599) + c) land max_int
+end)
+
 let pp ppf t =
   Format.fprintf ppf "desc(%a/seg%d %a %dB%s)" Atm.Addr.pp t.remote
     t.segment_id Generation.pp t.generation t.size

@@ -23,4 +23,12 @@ val mark_stale : t -> unit
 val refresh : t -> generation:Generation.t -> unit
 (** Re-validate with a fresh generation (after a re-import). *)
 
+val target : t -> int * int * int
+(** (remote node, segment id, generation) as ints: what the descriptor
+    currently names. *)
+
+module Target_tbl : Hashtbl.S with type key = int * int * int
+(** Tables keyed by a {!target}, compared and hashed as ints rather than
+    through [compare_val] and [caml_hash]. *)
+
 val pp : Format.formatter -> t -> unit

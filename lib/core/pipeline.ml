@@ -60,6 +60,14 @@ type stats = {
   mutable passthrough_ops : int;
 }
 
+(* One staged extent: the [len] bytes for remote offset [off], held in
+   [data] from index 0.  A write that touches no other extent is held
+   by reference ([owned = false]): its bytes are read when the burst is
+   encoded, as they would be on the synchronous path.  A merge copies
+   what it touches into a buffer the engine owns, which may have spare
+   capacity past [len]. *)
+type extent = { off : int; len : int; data : bytes; owned : bool }
+
 (* One staging buffer: the WRITEs absorbed since the last flush toward
    one (remote, segment, generation), kept as a sorted list of merged,
    non-overlapping extents — exactly the scatter-gather list the burst
@@ -67,7 +75,7 @@ type stats = {
 type staged = {
   desc : Descriptor.t;
   swab : bool;
-  mutable extents : (int * bytes) list;
+  mutable extents : extent list;
   mutable bytes : int;
   mutable ops : int;
   mutable notify : bool;
@@ -77,14 +85,16 @@ type staged = {
 (* One windowed operation in flight; [await] raises on failure. *)
 type inflight = { ready : unit -> bool; await : unit -> unit }
 
-type key = int * int * int (* remote node, segment id, generation *)
+module Tbl = Descriptor.Target_tbl
+
+type key = Tbl.key (* remote node, segment id, generation *)
 
 type t = {
   rmem : Remote_memory.t;
   cfg : config;
-  staged : (key, staged) Hashtbl.t;
-  windows : (key, inflight Queue.t) Hashtbl.t;
-  batches : (key, int) Hashtbl.t;
+  staged : staged Tbl.t;
+  windows : inflight Queue.t Tbl.t;
+  batches : int Tbl.t;
   (* the current window cycle's batch tag per key: a fresh batch opens
      whenever a submit finds its window empty, so every issue sharing a
      window cycle carries the same batch id in its Issued event *)
@@ -96,9 +106,9 @@ let create ?(config = default_config) rmem =
   {
     rmem;
     cfg = config;
-    staged = Hashtbl.create 8;
-    windows = Hashtbl.create 8;
-    batches = Hashtbl.create 8;
+    staged = Tbl.create 8;
+    windows = Tbl.create 8;
+    batches = Tbl.create 8;
     stats =
       {
         staged_writes = 0;
@@ -129,12 +139,12 @@ let stats t =
    adaptive controller): how full the engine is right now, as opposed to
    the cumulative [stats]. *)
 let window_occupancy t =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.windows 0
+  Tbl.fold (fun _ q acc -> acc + Queue.length q) t.windows 0
 
 let staged_extents t =
-  Hashtbl.fold (fun _ s acc -> acc + List.length s.extents) t.staged 0
+  Tbl.fold (fun _ s acc -> acc + List.length s.extents) t.staged 0
 
-let staged_bytes t = Hashtbl.fold (fun _ s acc -> acc + s.bytes) t.staged 0
+let staged_bytes t = Tbl.fold (fun _ s acc -> acc + s.bytes) t.staged 0
 
 let reg_incr t name =
   match t.registry with
@@ -144,49 +154,70 @@ let reg_incr t name =
 let nid t =
   Atm.Addr.to_int (Cluster.Node.addr (Remote_memory.node t.rmem))
 
-let key_of desc : key =
-  ( Atm.Addr.to_int (Descriptor.remote desc),
-    Descriptor.segment_id desc,
-    Generation.to_int (Descriptor.generation desc) )
+let key_of desc : key = Descriptor.target desc
 
 (* Insert one write into a sorted extent list, merging every extent it
    overlaps or abuts.  The new data is blitted last: within one staging
-   buffer the last writer wins, as it would have on the wire. *)
+   buffer the last writer wins, as it would have on the wire.
+
+   A merge allocates twice the room it needs.  A later merge whose
+   first touched extent is such an engine-owned buffer, starting where
+   the merged extent starts, reuses that buffer while it has room, and
+   otherwise replaces it with one of at least twice its capacity.
+   So a run of contiguous appends copies each byte a bounded number of
+   times, instead of re-copying the whole extent on every write; a run
+   of prepends still reallocates each time.  The caller's bytes are
+   copied at the same instants either way: never for a write that
+   touches nothing, and at the merge for every extent a merge touches. *)
 let insert_extent extents ~off data ~merged =
   let lo = off and hi = off + Bytes.length data in
-  let before, rest =
-    List.partition (fun (o, d) -> o + Bytes.length d < lo) extents
-  in
-  let touching, after = List.partition (fun (o, _) -> o <= hi) rest in
+  let before, rest = List.partition (fun e -> e.off + e.len < lo) extents in
+  let touching, after = List.partition (fun e -> e.off <= hi) rest in
   match touching with
-  | [] -> before @ ((off, data) :: after)
-  | _ ->
+  | [] ->
+      before @ ({ off; len = Bytes.length data; data; owned = false } :: after)
+  | first :: _ ->
       merged := !merged + List.length touching;
-      let new_lo = List.fold_left (fun acc (o, _) -> Int.min acc o) lo touching in
+      let new_lo = Int.min lo first.off in
       let new_hi =
-        List.fold_left
-          (fun acc (o, d) -> Int.max acc (o + Bytes.length d))
-          hi touching
+        List.fold_left (fun acc e -> Int.max acc (e.off + e.len)) hi touching
       in
-      let buf = Bytes.create (new_hi - new_lo) in
+      let len = new_hi - new_lo in
+      let buf =
+        if first.owned && first.off = new_lo && Bytes.length first.data >= len
+        then first.data
+        else if first.owned then
+          Bytes.create (Int.max len (2 * Bytes.length first.data))
+        else Bytes.create (2 * len)
+      in
       List.iter
-        (fun (o, d) -> Bytes.blit d 0 buf (o - new_lo) (Bytes.length d))
+        (fun e ->
+          if e.data != buf then Bytes.blit e.data 0 buf (e.off - new_lo) e.len)
         touching;
       Bytes.blit data 0 buf (lo - new_lo) (Bytes.length data);
-      before @ ((new_lo, buf) :: after)
+      before @ ({ off = new_lo; len; data = buf; owned = true } :: after)
+
+(* The burst's scatter-gather list: each extent's bytes, an owned
+   buffer trimmed to its length once, here. *)
+let burst_items extents =
+  List.map
+    (fun e ->
+      let data =
+        if Bytes.length e.data = e.len then e.data else Bytes.sub e.data 0 e.len
+      in
+      (e.off, data))
+    extents
 
 let staged_overlaps s ~soff ~count =
-  List.exists
-    (fun (o, d) -> o < soff + count && soff < o + Bytes.length d)
-    s.extents
+  List.exists (fun e -> e.off < soff + count && soff < e.off + e.len) s.extents
 
 (* Send one staging buffer as a single burst frame (under [policy] with
    read-back verification when given). *)
 let flush_key ?policy t key =
-  match Hashtbl.find_opt t.staged key with
+  match Tbl.find_opt t.staged key with
   | None -> ()
   | Some s ->
-      Hashtbl.remove t.staged key;
+      Tbl.remove t.staged key;
       if s.extents <> [] then begin
         let scope =
           Obs.Trace.scope_begin ~node:(nid t) ~name:"pipeline:flush"
@@ -194,13 +225,14 @@ let flush_key ?policy t key =
         Fun.protect
           ~finally:(fun () -> Obs.Trace.scope_end scope)
           (fun () ->
+            let items = burst_items s.extents in
             match policy with
             | None ->
                 Remote_memory.write_burst t.rmem s.desc ~notify:s.notify
-                  ~swab:s.swab s.extents
+                  ~swab:s.swab items
             | Some policy ->
                 Remote_memory.write_burst_with t.rmem ~policy s.desc
-                  ~notify:s.notify ~swab:s.swab s.extents);
+                  ~notify:s.notify ~swab:s.swab items);
         t.stats.flushes <- t.stats.flushes + 1;
         reg_incr t "pipeline.flushes";
         if s.notify_requests > 1 then begin
@@ -213,12 +245,12 @@ let flush_key ?policy t key =
 let flush ?policy t desc = flush_key ?policy t (key_of desc)
 
 let flush_all ?policy t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.staged [] in
+  let keys = Tbl.fold (fun k _ acc -> k :: acc) t.staged [] in
   List.iter (flush_key ?policy t) (List.sort compare keys)
 
 let staged_for t desc ~swab =
   let key = key_of desc in
-  match Hashtbl.find_opt t.staged key with
+  match Tbl.find_opt t.staged key with
   | Some s when s.swab = swab -> s
   | Some _ ->
       (* A swab change mid-batch: the burst's swab bit covers the whole
@@ -228,14 +260,14 @@ let staged_for t desc ~swab =
         { desc; swab; extents = []; bytes = 0; ops = 0; notify = false;
           notify_requests = 0 }
       in
-      Hashtbl.replace t.staged key s;
+      Tbl.replace t.staged key s;
       s
   | None ->
       let s =
         { desc; swab; extents = []; bytes = 0; ops = 0; notify = false;
           notify_requests = 0 }
       in
-      Hashtbl.replace t.staged key s;
+      Tbl.replace t.staged key s;
       s
 
 let write t desc ~off ?(notify = false) ?(swab = false) data =
@@ -259,8 +291,7 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
     let merged = ref 0 in
     s.extents <- insert_extent s.extents ~off data ~merged;
     t.stats.merged_extents <- t.stats.merged_extents + !merged;
-    s.bytes <-
-      List.fold_left (fun acc (_, d) -> acc + Bytes.length d) 0 s.extents;
+    s.bytes <- List.fold_left (fun acc e -> acc + e.len) 0 s.extents;
     s.ops <- s.ops + 1;
     if notify then begin
       s.notify <- true;
@@ -273,11 +304,11 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
   end
 
 let window_q t key =
-  match Hashtbl.find_opt t.windows key with
+  match Tbl.find_opt t.windows key with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.replace t.windows key q;
+      Tbl.replace t.windows key q;
       q
 
 (* Retire one in-flight op, remembering the first failure instead of
@@ -334,15 +365,15 @@ let window_admit t q =
 let window_batch t ~key ~q =
   if Queue.is_empty q then begin
     let b = Remote_memory.fresh_batch t.rmem in
-    Hashtbl.replace t.batches key b;
+    Tbl.replace t.batches key b;
     b
   end
   else
-    match Hashtbl.find_opt t.batches key with
+    match Tbl.find_opt t.batches key with
     | Some b -> b
     | None ->
         let b = Remote_memory.fresh_batch t.rmem in
-        Hashtbl.replace t.batches key b;
+        Tbl.replace t.batches key b;
         b
 
 let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
@@ -353,7 +384,7 @@ let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
   end
   else begin
     let key = key_of desc in
-    (match Hashtbl.find_opt t.staged key with
+    (match Tbl.find_opt t.staged key with
     | Some s when staged_overlaps s ~soff ~count ->
         (* Store-buffer forwarding discipline: the read must observe the
            process's own earlier writes, so they go out first. *)
@@ -413,7 +444,7 @@ let cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
     ?result ?notify ()
 
 let drain_key t key =
-  match Hashtbl.find_opt t.windows key with
+  match Tbl.find_opt t.windows key with
   | None -> ()
   | Some q ->
       let first = ref None in
@@ -421,7 +452,7 @@ let drain_key t key =
       reraise first
 
 let drain t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.windows [] in
+  let keys = Tbl.fold (fun k _ acc -> k :: acc) t.windows [] in
   let first = ref None in
   List.iter
     (fun key ->

@@ -102,7 +102,7 @@ type t = {
   errors : Metrics.Account.t;
   mutable delivery_probe : (Notification.kind -> count:int -> unit) option;
   mutable crypto : Crypto.t option; (* link encryption, section 3.5 *)
-  write_failures : (int * int * int, Status.t) Hashtbl.t;
+  write_failures : Status.t Descriptor.Target_tbl.t;
   (* (remote, seg, gen) -> latest nacked WRITE status, cleared on take *)
   mutable monitor : (monitor_event -> unit) option;
   mutable recovery_depth : int;
@@ -598,15 +598,11 @@ let cas_async t desc ~doff ~old_value ~new_value ?result ?notify () =
   snd (cas_submit t desc ~doff ~old_value ~new_value ?result ?notify ())
 
 let take_write_failure t desc =
-  let key =
-    ( Atm.Addr.to_int (Descriptor.remote desc),
-      Descriptor.segment_id desc,
-      Generation.to_int (Descriptor.generation desc) )
-  in
-  match Hashtbl.find_opt t.write_failures key with
+  let key = Descriptor.target desc in
+  match Descriptor.Target_tbl.find_opt t.write_failures key with
   | None -> None
   | Some status ->
-      Hashtbl.remove t.write_failures key;
+      Descriptor.Target_tbl.remove t.write_failures key;
       Some status
 
 (* A private scratch space for one read-back: created per call and never
@@ -818,7 +814,7 @@ let crash t =
   let pend = Int_tbl.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
   let pend = List.sort (fun (a, _) (b, _) -> compare (a : int) b) pend in
   Int_tbl.reset t.pending;
-  Hashtbl.reset t.write_failures;
+  Descriptor.Target_tbl.reset t.write_failures;
   List.iter
     (fun (_, p) ->
       match p with
@@ -1281,7 +1277,7 @@ let handle_write_nack t ~src (n : Wire.write_nack) =
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 12));
   record_error t n.status;
-  Hashtbl.replace t.write_failures
+  Descriptor.Target_tbl.replace t.write_failures
     (Atm.Addr.to_int src, n.seg, Generation.to_int n.gen)
     n.status;
   emit t (Nacked { src; nack = n });
@@ -1318,7 +1314,7 @@ let attach node =
       errors = Metrics.Account.create ~name:"rmem errors" ();
       delivery_probe = None;
       crypto = None;
-      write_failures = Hashtbl.create 4;
+      write_failures = Descriptor.Target_tbl.create 4;
       monitor = None;
       recovery_depth = 0;
       batch = None;

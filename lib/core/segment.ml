@@ -7,6 +7,11 @@
 
 type notify_policy = Always | Never | Conditional
 
+(* Grants are looked up on every received frame: an int-keyed table
+   compares keys as ints, where the polymorphic one calls compare_val
+   on every probe. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   id : int;
   name : string;
@@ -15,7 +20,7 @@ type t = {
   len : int;
   generation : Generation.t;
   default_rights : Rights.t;
-  grants : (int, Rights.t) Hashtbl.t; (* keyed by importer address *)
+  grants : Rights.t Int_tbl.t; (* keyed by importer address *)
   notification : Notification.t;
   mutable policy : notify_policy;
   mutable write_inhibited : bool;
@@ -33,7 +38,7 @@ let create ~id ~name ~space ~base ~len ~generation ~default_rights
     len;
     generation;
     default_rights;
-    grants = Hashtbl.create 4;
+    grants = Int_tbl.create 4;
     notification;
     policy;
     write_inhibited = false;
@@ -58,10 +63,10 @@ let write_inhibited t = t.write_inhibited
 let set_write_inhibit t inhibited = t.write_inhibited <- inhibited
 
 let grant t ~importer rights =
-  Hashtbl.replace t.grants (Atm.Addr.to_int importer) rights
+  Int_tbl.replace t.grants (Atm.Addr.to_int importer) rights
 
 let rights_for t ~importer =
-  match Hashtbl.find t.grants (Atm.Addr.to_int importer) with
+  match Int_tbl.find t.grants (Atm.Addr.to_int importer) with
   | rights -> rights
   | exception Not_found -> t.default_rights
 

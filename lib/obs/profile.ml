@@ -18,13 +18,16 @@ let create () = { phases = [] }
 let record t name f =
   let wall0 = Unix.gettimeofday () in
   (* [Gc.minor_words] reads the allocation pointer and is exact at any
-     instant; the [quick_stat] counters for the older generation only
-     refresh at collection points, which multi-millisecond phases cross
-     but a short one may not — so the minor figure is the precise one. *)
+     instant.  [Gc.counters] gives this domain's promoted and major
+     words, both counted as they happen (a promotion is a major
+     allocation), so major minus promoted is exactly what went straight
+     to the major heap.  The [quick_stat] figures refresh only at
+     collection points: mixed with the exact minor count they could
+     make a short phase's total negative. *)
   let minor0 = Gc.minor_words () in
-  let gc0 = Gc.quick_stat () in
+  let _, promoted0, major0 = Gc.counters () in
   let finish () =
-    let gc1 = Gc.quick_stat () in
+    let _, promoted1, major1 = Gc.counters () in
     let minor1 = Gc.minor_words () in
     let wall1 = Unix.gettimeofday () in
     t.phases <-
@@ -32,8 +35,8 @@ let record t name f =
         {
           wall_s = wall1 -. wall0;
           minor_words = minor1 -. minor0;
-          promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
-          major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
+          promoted_words = promoted1 -. promoted0;
+          major_words = major1 -. major0;
         } )
       :: t.phases
   in

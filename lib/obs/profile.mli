@@ -1,6 +1,7 @@
 (** Host-time profiling of the simulator itself: wall-clock seconds and
     GC allocation deltas per named run phase ([Gc.minor_words] for the
-    exact minor figure, [Gc.quick_stat] for the older generation).
+    minor figure, [Gc.counters] for promoted and major words; all
+    exact at any instant).
 
     Where the virtual clock measures the {e modeled} system, this
     measures the machine running the model — the instrument behind

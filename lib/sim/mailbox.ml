@@ -5,10 +5,19 @@ type 'a t = {
   daemon : bool;
   messages : 'a Queue.t;
   readers : ('a -> unit) Queue.t;
+  park : ('a -> unit) -> unit;
+  (* queues a blocked reader's resumption; built once, not per [recv] *)
 }
 
 let create ?(name = "mailbox") ?(daemon = false) () =
-  { name; daemon; messages = Queue.create (); readers = Queue.create () }
+  let readers = Queue.create () in
+  {
+    name;
+    daemon;
+    messages = Queue.create ();
+    readers;
+    park = (fun resume -> Queue.push resume readers);
+  }
 
 let name t = t.name
 
@@ -25,9 +34,7 @@ let send t msg =
 let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else
-    Proc.suspend_on ~daemon:t.daemon
-      ~kind:"mailbox" ~resource:t.name
-      (fun resume -> Queue.push resume t.readers)
+    Proc.suspend_on ~daemon:t.daemon ~kind:"mailbox" ~resource:t.name t.park
 
 let try_recv t =
   if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

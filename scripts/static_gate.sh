@@ -107,15 +107,18 @@ for dep in $dds_deps; do
 done
 
 # 10. The per-event core hashes no int key generically.  Firing an
-# event, routing a frame and dispatching it run through these modules;
-# a polymorphic table there probes with caml_hash and compare_val on
-# every frame.  Int keys use arrays or Hashtbl.Make (Int), so any use
-# of Hashtbl other than that functor is refused here.
+# event, routing a frame, dispatching it, serving a remote-memory
+# request (segment lookup, rights check) and staging a pipelined write
+# run through these modules; a polymorphic table there probes with
+# caml_hash and compare_val on every frame.  Int keys use arrays or
+# Hashtbl.Make, so any use of Hashtbl other than that functor is
+# refused here.
 for f in lib/sim/engine.ml lib/sim/heap.ml lib/atm/switch.ml lib/atm/link.ml \
-  lib/cluster/node.ml lib/amsg/amsg.ml lib/dds/call.ml; do
+  lib/cluster/node.ml lib/amsg/amsg.ml lib/dds/call.ml lib/core/segment.ml \
+  lib/core/remote_memory.ml lib/core/pipeline.ml; do
   [ -f "$f" ] || fail "event-core module $f is missing"
   if sed 's/Hashtbl\.Make//g' "$f" | grep -n 'Hashtbl' >&2; then
-    fail "$f uses a generic Hashtbl on the per-event path — use an array or Hashtbl.Make (Int)"
+    fail "$f uses a generic Hashtbl on the per-event path — use an array or a Hashtbl.Make table"
   fi
 done
 

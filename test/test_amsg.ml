@@ -54,17 +54,31 @@ let request_reply_round_trip () =
       Alcotest.(check bytes) "computed reply" (Bytes.of_string "\002\004\006")
         (Cluster.Address_space.read client_space ~addr:4 ~len:3))
 
-let unknown_handler_fails () =
-  let testbed, _a0, a1 = rig () in
-  check_bool "failure surfaces" true
-    (try
-       Cluster.Testbed.run testbed (fun () ->
-           Amsg.send a1
-             ~dst:(Cluster.Node.addr (Cluster.Testbed.node testbed 0))
-             ~handler:99 Bytes.empty;
-           Sim.Proc.wait (Sim.Time.ms 1));
-       false
-     with Failure _ -> true)
+(* A frame naming an unregistered handler, one cut short inside its
+   header and one whose argument length overruns it are each counted
+   and dropped, uncharged; the run goes on and a later well-formed
+   message is still delivered. *)
+let stray_frames_dropped () =
+  let testbed, a0, a1 = rig () in
+  let received = ref [] in
+  Amsg.register a0 ~id:3 (fun ~src:_ args ->
+      received := Bytes.to_string args :: !received);
+  let n0 = Cluster.Testbed.node testbed 0 and n1 = Cluster.Testbed.node testbed 1 in
+  let dst = Cluster.Node.addr n0 in
+  Cluster.Testbed.run testbed (fun () ->
+      Amsg.send a1 ~dst ~handler:99 Bytes.empty;
+      Cluster.Node.transmit n1 ~dst (Bytes.of_string "\x28\x03\x04");
+      Cluster.Node.transmit n1 ~dst
+        (Bytes.of_string "\x28\x03\x05\x00\x00\x00\x00\x00abcd");
+      Sim.Proc.wait (Sim.Time.ms 1);
+      check_int "nothing charged for stray frames" 0
+        (Sim.Time.to_ns (Cluster.Cpu.busy_time (Cluster.Node.cpu n0)));
+      Amsg.send a1 ~dst ~handler:3 (Bytes.of_string "ok");
+      Sim.Proc.wait (Sim.Time.ms 1));
+  check_int "stray frames counted" 3 (Amsg.malformed a0);
+  check_int "sender saw none" 0 (Amsg.malformed a1);
+  check_int "only the good one delivered" 1 (Amsg.delivered a0);
+  Alcotest.(check (list string)) "handler ran once" [ "ok" ] !received
 
 let register_validation () =
   let _testbed, a0, _a1 = rig () in
@@ -93,7 +107,8 @@ let suite =
   [
     Alcotest.test_case "handler runs with args" `Quick handler_runs_with_args;
     Alcotest.test_case "request/reply round trip" `Quick request_reply_round_trip;
-    Alcotest.test_case "unknown handler fails" `Quick unknown_handler_fails;
+    Alcotest.test_case "stray frames counted and dropped" `Quick
+      stray_frames_dropped;
     Alcotest.test_case "register validation" `Quick register_validation;
     Alcotest.test_case "handler cpu tracked" `Quick handler_cpu_is_tracked;
   ]

@@ -21,52 +21,58 @@ let aal_monotone =
       Atm.Aal.cells_of_len len <= Atm.Aal.cells_of_len (len + extra))
 
 (* Every single-bit flip and every single-byte substitution, at every
-   position, must fail the receiving NIC's check.  The lengths 0-40
-   cover zero, one and two 16-byte lane groups of the four-lane digest,
-   with every count of leftover words (0-3) and tail bytes (0-3) after
-   zero and after one group; 328 is one 8-cell WRITE frame and 4099 a
-   multi-cell frame with a tail.  The
-   damage is applied to the frame's own payload (which the fault plane
-   never does: it copies) and undone after each check. *)
+   position, must fail the receiving NIC's check.  The lengths 0-72
+   cover zero, one and two 32-byte lane groups of the four-lane digest,
+   with every count of leftover 8-byte words (0-3) and tail bytes (0-7)
+   after zero and after one group; 328 is one 8-cell WRITE frame (ten
+   groups and a leftover word) and 4099 a multi-cell frame with a tail.
+   At 32,800 bytes (a 32 KB burst) every bit flip at every position is
+   checked; its 255 substitutions per byte would take about 30 s, so
+   they are left to the shorter lengths.  The damage is applied to the
+   frame's own payload (which the fault plane never does: it copies)
+   and undone after each check. *)
 let checksum_catches_single_byte_damage () =
   let prng = Sim.Prng.create 17 in
   let src = Atm.Addr.of_int 1 and dst = Atm.Addr.of_int 2 in
   let rejected = ref 0 in
-  List.iter
-    (fun len ->
-      let payload = Bytes.init len (fun _ -> Char.chr (Sim.Prng.int prng 256)) in
-      let frame = Atm.Frame.make ~src ~dst payload in
-      Alcotest.(check bool) "undamaged frame intact" true (Atm.Frame.intact frame);
-      let damaged_with i v =
-        let original = Bytes.get_uint8 payload i in
-        Bytes.set_uint8 payload i v;
-        let intact = Atm.Frame.intact frame in
-        Bytes.set_uint8 payload i original;
-        if intact then
-          Alcotest.failf "len %d: byte %d %02x -> %02x passed the checksum" len
-            i original v;
-        incr rejected
-      in
-      for i = 0 to len - 1 do
-        let original = Bytes.get_uint8 payload i in
-        for bit = 0 to 7 do
-          damaged_with i (original lxor (1 lsl bit))
-        done;
+  let damage ~substitutions len =
+    let payload = Bytes.init len (fun _ -> Char.chr (Sim.Prng.int prng 256)) in
+    let frame = Atm.Frame.make ~src ~dst payload in
+    Alcotest.(check bool) "undamaged frame intact" true (Atm.Frame.intact frame);
+    let damaged_with i v =
+      let original = Bytes.get_uint8 payload i in
+      Bytes.set_uint8 payload i v;
+      let intact = Atm.Frame.intact frame in
+      Bytes.set_uint8 payload i original;
+      if intact then
+        Alcotest.failf "len %d: byte %d %02x -> %02x passed the checksum" len
+          i original v;
+      incr rejected
+    in
+    for i = 0 to len - 1 do
+      let original = Bytes.get_uint8 payload i in
+      for bit = 0 to 7 do
+        damaged_with i (original lxor (1 lsl bit))
+      done;
+      if substitutions then
         for v = 0 to 255 do
           if v <> original then damaged_with i v
         done
-      done;
-      Alcotest.(check bool)
-        "corrupted copy rejected" false
-        (Atm.Frame.intact (Atm.Frame.corrupted ~byte:len frame)))
-    (List.init 41 Fun.id @ [ 328; 4099 ]);
+    done;
+    Alcotest.(check bool)
+      "corrupted copy rejected" false
+      (Atm.Frame.intact (Atm.Frame.corrupted ~byte:len frame))
+  in
+  List.iter (damage ~substitutions:true) (List.init 73 Fun.id @ [ 328; 4099 ]);
+  damage ~substitutions:false 32_800;
   check_int "every damaged frame rejected"
-    ((8 + 255) * (820 + 328 + 4099))
+    (((8 + 255) * ((72 * 73 / 2) + 328 + 4099)) + (8 * 32_800))
     !rejected
 
 (* Any nonzero XOR mask confined to one 32-bit word of the payload —
    a whole word, or the bytes present in a short tail word — changes
-   the digest, whichever lane the word feeds. *)
+   the digest.  The digest mixes 8-byte words, so this damages half of
+   one lane word, or a word straddling the tail. *)
 let checksum_catches_word_damage =
   let case =
     QCheck.Gen.(
@@ -89,7 +95,41 @@ let checksum_catches_word_damage =
         let i = (4 * word) + k and m = (mask lsr (8 * k)) land 0xFF in
         if m <> 0 then Bytes.set_uint8 damaged i (Bytes.get_uint8 damaged i lxor m)
       done;
-      Atm.Aal.checksum damaged <> before)
+      not (Int64.equal (Atm.Aal.checksum damaged) before))
+
+(* The digest's own unit: any nonzero XOR mask over the bytes of one
+   8-byte word (all eight, or those present in the tail) changes it,
+   whichever lane the word feeds — one of the four group lanes, or lane
+   0 for a leftover word or the tail.  Lengths up to 1,100 reach 34
+   groups with every leftover and tail shape. *)
+let checksum_catches_lane_word_damage =
+  let case =
+    QCheck.Gen.(
+      int_range 1 1100 >>= fun len ->
+      int_bound ((len - 1) / 8) >>= fun word ->
+      let present = min 8 (len - (8 * word)) in
+      bytes_size (return present) >>= fun mask ->
+      int_bound (present - 1) >>= fun k ->
+      int_range 1 255 >>= fun v ->
+      Bytes.set_uint8 mask k v;
+      map (fun payload -> (payload, word, mask)) (bytes_size (return len)))
+  in
+  QCheck.Test.make ~name:"a change confined to one 64-bit word changes the digest"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (payload, word, mask) ->
+         Printf.sprintf "len %d, word %d, mask %S" (Bytes.length payload) word
+           (Bytes.to_string mask))
+       case)
+    (fun (payload, word, mask) ->
+      let before = Atm.Aal.checksum payload in
+      let damaged = Bytes.copy payload in
+      Bytes.iteri
+        (fun k m ->
+          let i = (8 * word) + k in
+          Bytes.set_uint8 damaged i (Bytes.get_uint8 damaged i lxor Char.code m))
+        mask;
+      not (Int64.equal (Atm.Aal.checksum damaged) before))
 
 (* ---------------- Codec ---------------- *)
 
@@ -282,7 +322,15 @@ let switch_drops_unrouted () =
 
 let addr_validation () =
   Alcotest.check_raises "negative" (Invalid_argument "Addr.of_int: negative address")
-    (fun () -> ignore (Atm.Addr.of_int (-1)))
+    (fun () -> ignore (Atm.Addr.of_int (-1)));
+  Alcotest.check_raises "too large"
+    (Invalid_argument "Addr.of_int: address out of range")
+    (fun () -> ignore (Atm.Addr.of_int (1 lsl Atm.Addr.bits)));
+  let top = Atm.Addr.of_int ((1 lsl Atm.Addr.bits) - 1) in
+  let frame = Atm.Frame.make ~src:top ~dst:(Atm.Addr.of_int 0) Bytes.empty in
+  check_int "largest source survives the frame" (Atm.Addr.to_int top)
+    (Atm.Addr.to_int (Atm.Frame.src frame));
+  check_int "destination beside it" 0 (Atm.Addr.to_int (Atm.Frame.dst frame))
 
 let suite =
   [
@@ -306,4 +354,5 @@ let suite =
     Alcotest.test_case "switch: unrouted destinations dropped and counted"
       `Quick switch_drops_unrouted;
     QCheck_alcotest.to_alcotest checksum_catches_word_damage;
+    QCheck_alcotest.to_alcotest checksum_catches_lane_word_damage;
   ]

@@ -213,12 +213,12 @@ let malformed_frames_dropped () =
    WRITE and a 4 KB READ, each run to quiescence (every frame delivered
    and deposited).  The bounds sit 15% above the levels measured under
    the release profile (a dev-profile build, with -opaque, measures
-   2718.7 and 2741.7, still inside them) and below those levels plus
+   2651.1 and 2550.1, still inside them) and below those levels plus
    the 538 minor words one re-added copy of every chunk costs (twelve
    320-byte chunks of 42 words and a 256-byte one of 34), so such a copy
-   fails here deterministically. *)
-let write_4k_words_bound = 2885. (* measured 2508.7 *)
-let read_4k_words_bound = 2928. (* measured 2545.7 *)
+   fails here deterministically.  Tighten them, never loosen them. *)
+let write_4k_words_bound = 2718. (* measured 2363.0 *)
+let read_4k_words_bound = 2611. (* measured 2270.0 *)
 
 let alloc_per_4k_op () =
   let testbed =
